@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from math import comb
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     Degenerate,
     InvalidRegime,
     OrderTooSmall,
+    StructureViolation,
     VerificationFailed,
 )
 from .exactpoly import X, AlgebraicReal, IntPoly, RationalInterval
@@ -46,73 +48,89 @@ COVER_SPLIT = "Split"
 # -- characteristic polynomials of threshold graphs ----------------------
 
 
-def charpoly_via_modules(a: np.ndarray) -> IntPoly:
-    """Exact charpoly exploiting duplicate/coduplicate vertex classes.
+class FactoredPoly(NamedTuple):
+    """x^a (x+1)^b r, the form in which threshold charpolys are carried.
 
-    Vertices with identical rows (ignoring the two diagonal positions)
-    form modules; each such class of size s contributes s-1 eigenvalues
-    equal to 0 (independent class) or -1 (clique class), and the quotient
-    matrix supplies the rest.  Falls back to the dense recurrence if the
-    class structure is not clique-or-independent (never happens for
-    stepwise matrices).
+    Every root the elimination compares lies above a family bound
+    greater than k > 0, so the trivial eigenvalues 0 and -1 are counted
+    in a and b and only multiplied back in by expand().
+    """
+
+    a: int
+    b: int
+    r: IntPoly
+
+    def expand(self) -> IntPoly:
+        binom = [comb(self.b, i) for i in range(self.b + 1)]
+        return IntPoly([0] * self.a + binom) * self.r
+
+
+def charpoly_via_modules(a: np.ndarray) -> FactoredPoly:
+    """Exact charpoly of a stepwise matrix, factored by its twin classes.
+
+    In a stepwise matrix twin vertices (identical rows off the two
+    diagonal positions) are consecutive, so one pass over neighbouring
+    rows finds the classes.  A class of size s is a clique or an
+    independent set and contributes s-1 eigenvalues -1 or 0; the
+    quotient matrix of the classes supplies the rest.
     """
     n = a.shape[0]
-    rows = [tuple(int(v) for v in a[i]) for i in range(n)]
-    classes: list[list[int]] = []
-    for i in range(n):
-        for cl in classes:
-            j = cl[0]
-            if all(rows[i][w] == rows[j][w] for w in range(n) if w not in (i, j)):
-                cl.append(i)
-                break
-        else:
-            classes.append([i])
-    zero_mult = 0
-    minus_one_mult = 0
-    ok = True
-    for cl in classes:
-        if len(cl) == 1:
+    m = a.astype(np.int64)
+    i = np.arange(n - 1)
+    differ = m[:-1] != m[1:]
+    differ[i, i] = differ[i, i + 1] = False
+    starts = [0] + [int(j) + 1 for j in np.flatnonzero(differ.any(axis=1))]
+    link = np.diagonal(m, 1)
+    zeros = minus_ones = 0
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        if hi - lo < 2:
             continue
-        adj = bool(a[cl[0], cl[1]])
-        for u in cl:
-            for v in cl:
-                if u < v and bool(a[u, v]) != adj:
-                    ok = False
-        if adj:
-            minus_one_mult += len(cl) - 1
+        if len(set(link[lo:hi - 1].tolist())) != 1:
+            raise StructureViolation(
+                f"twin class {lo}..{hi - 1} is neither a clique nor independent")
+        if link[lo]:
+            minus_ones += hi - lo - 1
         else:
-            zero_mult += len(cl) - 1
-    if not ok:
-        return xp.charpoly(a.astype(int).tolist())
-    q = len(classes)
-    quot = [[0] * q for _ in range(q)]
-    for bi, cl in enumerate(classes):
-        rep = cl[0]
-        for bj, cl2 in enumerate(classes):
-            quot[bi][bj] = sum(int(a[rep, w]) for w in cl2)
-    p = xp.charpoly(quot)
-    if zero_mult:
-        p = p * IntPoly([0] * zero_mult + [1])
-    if minus_one_mult:
-        for _ in range(minus_one_mult):
-            p = p * IntPoly([1, 1])
-    assert p.degree == n
-    return p
+            zeros += hi - lo - 1
+    quotient = np.add.reduceat(m[starts], starts, axis=1)
+    r = xp.charpoly(quotient.tolist())
+    if zeros + minus_ones + r.degree != n:
+        raise StructureViolation(f"factored charpoly has degree != {n}")
+    return FactoredPoly(zeros, minus_ones, r)
 
 
 @functools.lru_cache(maxsize=100_000)
-def tsub_charpolys(steps: tuple[int, ...]) -> tuple[IntPoly, IntPoly]:
-    """(charpoly of T, charpoly of T joined with one vertex)."""
+def tsub_charpolys(steps: tuple[int, ...]) -> tuple[FactoredPoly, FactoredPoly]:
+    """(charpoly of T, charpoly of T joined with one vertex), factored."""
     seq = StepSequence(steps)
     a = tsub_adjacency(seq)
     return charpoly_via_modules(a), charpoly_via_modules(cone(a))
 
 
+def _product(c: int, x_power: int, f: FactoredPoly, g: FactoredPoly) -> FactoredPoly:
+    """c * x^x_power * f * g."""
+    return FactoredPoly(x_power + f.a + g.a, f.b + g.b, c * (f.r * g.r))
+
+
+def _divide_common(*fs: FactoredPoly) -> list[IntPoly]:
+    """Each of fs divided by the largest x^alpha (x+1)^beta that divides
+    all of them.  The quotients have the same roots as fs above 0."""
+    live = [f for f in fs if not f.r.is_zero]
+    if not live:
+        return [IntPoly() for _ in fs]
+    alpha = min(f.a for f in live)
+    beta = min(f.b for f in live)
+    return [FactoredPoly(f.a - alpha, f.b - beta, f.r).expand()
+            if not f.r.is_zero else IntPoly() for f in fs]
+
+
 def generic_r_poly(steps: StepSequence) -> tuple[IntPoly, IntPoly]:
     """Numerator and denominator of the order-to-spectral-radius link
-    function built directly from exact characteristic polynomials."""
+    function x * P_T1 / P_T, with their common factors x and x+1
+    cancelled."""
     p_t, p_t1 = tsub_charpolys(steps.steps)
-    return X * p_t1, p_t
+    num, den = _divide_common(FactoredPoly(p_t1.a + 1, p_t1.b, p_t1.r), p_t)
+    return num, den
 
 
 def rho_of_threshold(steps: StepSequence, n: int) -> AlgebraicReal:
@@ -121,30 +139,31 @@ def rho_of_threshold(steps: StepSequence, n: int) -> AlgebraicReal:
     n_prime = steps[0] + 2
     if n < n_prime:
         raise OrderTooSmall(f"order {n} < {n_prime}")
-    p_t, p_t1 = tsub_charpolys(steps.steps)
-    poly = X * p_t1 - (n - n_prime) * p_t
-    root = xp.kth_largest_root(poly, 1)
-    assert root is not None
+    num, den = generic_r_poly(steps)
+    root = xp.kth_largest_root(num - (n - n_prime) * den, 1)
+    if root is None:
+        raise StructureViolation(f"no spectral radius for {steps.steps} at order {n}")
     return root
 
 
 # -- comparison polynomial and closed forms ------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonPoly:
-    q: IntPoly
-
-
-def q_poly(g1_steps: StepSequence, g2_steps: StepSequence) -> ComparisonPoly:
+def q_poly(g1_steps: StepSequence, g2_steps: StepSequence) -> IntPoly:
     """Polynomial whose sign at the rival's spectral radius decides the
-    comparison between two threshold graphs with equal surplus."""
+    comparison between two threshold graphs with equal surplus.
+
+    This is x (P1_T1 P2_T - P2_T1 P1_T) + (order1 - order2) P1_T P2_T
+    divided by the x^alpha (x+1)^beta common to its three terms, built
+    from the factored charpolys without forming the full ones.  Above 0
+    it has the same roots as the full polynomial.
+    """
     p1_t, p1_t1 = tsub_charpolys(g1_steps.steps)
     p2_t, p2_t1 = tsub_charpolys(g2_steps.steps)
-    order1 = g1_steps[0] + 1
-    order2 = g2_steps[0] + 1
-    q = X * (p1_t1 * p2_t - p2_t1 * p1_t) + (order1 - order2) * (p1_t * p2_t)
-    return ComparisonPoly(q)
+    terms = _divide_common(_product(1, 1, p1_t1, p2_t),
+                           _product(-1, 1, p2_t1, p1_t),
+                           _product(g1_steps[0] - g2_steps[0], 0, p1_t, p2_t))
+    return terms[0] + terms[1] + terms[2]
 
 
 def d_cubic(e: int) -> IntPoly:
@@ -239,11 +258,12 @@ def certify_candidate(e: int, steps: StepSequence,
         raise ValueError("step sequence surplus mismatch")
 
     # D side -------------------------------------------------------------
-    qd = q_poly(steps, d_steps).q
+    qd = q_poly(steps, d_steps)
     if qd.is_zero:
         raise VerificationFailed(2, f"comparison polynomial vs D vanishes for {steps.steps}")
     rho_t1d = xp.kth_largest_root(d_cubic(e), 1)
-    assert rho_t1d is not None
+    if rho_t1d is None:
+        raise StructureViolation(f"near-clique cone cubic has no real root at e={e}")
 
     n_u_root: Optional[AlgebraicReal] = None
     if qd.leading > 0:
@@ -266,12 +286,13 @@ def certify_candidate(e: int, steps: StepSequence,
         n_u_root = r1
 
     # V side -------------------------------------------------------------
-    qv = q_poly(steps, StepSequence((e,))).q
+    qv = q_poly(steps, StepSequence((e,)))
     if qv.is_zero or qv.leading < 0:
         raise VerificationFailed(
             5, f"comparison polynomial vs V not positive-leading for {steps.steps}")
     rho_t1v = xp.kth_largest_root(v_quadratic(e), 1)
-    assert rho_t1v is not None
+    if rho_t1v is None:
+        raise StructureViolation(f"star cone quadratic has no real root at e={e}")
     s1 = xp.kth_largest_root(qv, 1)
     if _cmp_opt(s1, rho_t1v) < 0:
         v_branch = V_SMALL_ROOT

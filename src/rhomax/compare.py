@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import exactpoly as xp
+from .certify import r_V_closed_form
 from .errors import (
     InvalidRegime,
     OrderTooSmall,
@@ -22,7 +23,7 @@ from .errors import (
     PoleAt3,
     StructureViolation,
 )
-from .exactpoly import AlgebraicReal, IntPoly, RationalInterval, X
+from .exactpoly import AlgebraicReal, IntPoly, RationalInterval
 from .graphs import edge_params
 
 D_UNIQUE = "D_unique"
@@ -72,12 +73,6 @@ def psi_value(e: int) -> AlgebraicReal:
     return root
 
 
-def _omega_ratfun(e: int) -> tuple[IntPoly, IntPoly]:
-    num = X * (X + 1) * IntPoly([-2 * e, -1, 1])
-    den = IntPoly([-e, 0, 1])
-    return num, den
-
-
 @dataclass(frozen=True)
 class OmegaValue:
     """Crossover order: exact rational when psi is rational, otherwise a
@@ -90,7 +85,7 @@ class OmegaValue:
     def enclose(self, eps: Fraction) -> RationalInterval:
         if self.exact is not None:
             return RationalInterval(self.exact, self.exact)
-        num, den = _omega_ratfun(self.e)
+        num, den = r_V_closed_form(self.e)
         iv = xp.eval_ratfun(num, den, self.psi, eps)
         return RationalInterval(self.e + 2 + iv.lo, self.e + 2 + iv.hi)
 
@@ -130,7 +125,8 @@ def classify(n: int, e: int, unsafe_extrapolate: bool = False) -> Classification
     psi = psi_value(e)
     # sign of the order-n star-family polynomial at psi equals the sign of
     # omega - n, because psi exceeds sqrt(e)
-    h = X * (X + 1) * IntPoly([-2 * e, -1, 1]) - (n - e - 2) * IntPoly([-e, 0, 1])
+    num, den = r_V_closed_form(e)
+    h = num - (n - e - 2) * den
     s = xp.sign_at_root(h, psi)
     if s > 0:
         return Classification(D_UNIQUE)

@@ -13,11 +13,15 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     PoleAtPoint,
     RefinementBudgetExceeded,
+    StructureViolation,
     ZeroPolynomial,
 )
 
@@ -154,29 +158,35 @@ def from_roots(roots: Sequence[int]) -> IntPoly:
 
 
 def divexact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a/b where b is known to divide a over the rationals."""
+    """Quotient a/b where b is known to divide a over the integers.
+
+    Integer long division; raises ValueError if b does not divide a over
+    the rationals ("not exact") or the quotient has a non-integer
+    coefficient ("not integral").
+    """
     if b.is_zero:
         raise ZeroPolynomial("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(1, len(rem) - len(b.coeffs) + 1)
     d = b.degree
     lb = b.leading
-    while len(rem) - 1 >= d and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < d:
-            break
-        k = len(rem) - 1 - d
-        f = rem[-1] / lb
+    low = b.coeffs[:-1]
+    rem = list(a.coeffs)
+    q = [0] * max(1, len(rem) - d)
+    for k in range(len(rem) - 1 - d, -1, -1):
+        top = rem[k + d]
+        if not top:
+            continue
+        f, r = divmod(top, lb)
+        if r:
+            exact = _pseudo_rem(a, b)[0].is_zero
+            raise ValueError("quotient is not integral" if exact
+                             else "division is not exact")
         q[k] = f
-        for i, c in enumerate(b.coeffs):
+        for i, c in enumerate(low):
             rem[k + i] -= f * c
-        rem.pop()
+        rem[k + d] = 0
     if any(rem):
         raise ValueError("division is not exact")
-    if not all(f.denominator == 1 for f in q):
-        raise ValueError("quotient is not integral")
-    return IntPoly([int(f) for f in q])
+    return IntPoly(q)
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
@@ -243,31 +253,8 @@ def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
     return tuple(chain)
 
 
-def _sign_at_frac(p: IntPoly, x: Fraction, pw_num: list, pw_den: list) -> int:
-    """Sign of p(x) using precomputed powers of numerator/denominator of x."""
-    acc = 0
-    d = p.degree
-    for i, c in enumerate(p.coeffs):
-        if c:
-            acc += c * pw_num[i] * pw_den[d - i]
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
-    x = Fraction(x)
-    maxdeg = max(q.degree for q in chain if not q.is_zero)
-    pw_num = [1] * (maxdeg + 1)
-    pw_den = [1] * (maxdeg + 1)
-    for i in range(1, maxdeg + 1):
-        pw_num[i] = pw_num[i - 1] * x.numerator
-        pw_den[i] = pw_den[i - 1] * x.denominator
-    signs = []
-    for q in chain:
-        if q.is_zero:
-            continue
-        s = _sign_at_frac(q, x, pw_num, pw_den)
-        if s != 0:
-            signs.append(s)
+    signs = [s for s in (sign_at(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -314,9 +301,17 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 
 
 def sign_at(p: IntPoly, x: Fraction | int) -> int:
-    """Exact sign of p(x) at a rational point."""
-    v = p(Fraction(x))
-    return (v > 0) - (v < 0)
+    """Exact sign of p(x) at a rational point.
+
+    Horner on the homogenised form den^deg * p(num/den), which has the
+    same sign because den > 0, so every step is an integer operation.
+    """
+    num, den = x.numerator, x.denominator
+    acc, den_pow = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * num + c * den_pow
+        den_pow *= den
+    return (acc > 0) - (acc < 0)
 
 
 # -- algebraic reals ----------------------------------------------------
@@ -544,12 +539,25 @@ def compare_with_rational(a: AlgebraicReal, q: Fraction | int,
 
 
 def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of {p(x) : lo <= x <= hi} by interval Horner."""
-    a, b = Fraction(0), Fraction(0)
+    """Enclosure of {p(x) : lo <= x <= hi} by interval Horner.
+
+    Runs on the numerators of lo and hi over their common denominator
+    den: after j steps both accumulators carry the factor den^j, so every
+    step is integer arithmetic and the result equals interval Horner in
+    Fractions.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = lcm(lo.denominator, hi.denominator)
+    l = lo.numerator * (den // lo.denominator)
+    h = hi.numerator * (den // hi.denominator)
+    a = b = 0
+    den_pow = 1
     for c in reversed(p.coeffs):
-        prods = (a * lo, a * hi, b * lo, b * hi)
-        a, b = min(prods) + c, max(prods) + c
-    return a, b
+        prods = (a * l, a * h, b * l, b * h)
+        a, b = min(prods) + c * den_pow, max(prods) + c * den_pow
+        den_pow *= den
+    scale = den ** max(p.degree, 0)
+    return Fraction(a, scale), Fraction(b, scale)
 
 
 def eval_ratfun(num: IntPoly, den: IntPoly, x: AlgebraicReal,
@@ -585,7 +593,8 @@ def charpoly(a: Sequence[Sequence[int]]) -> IntPoly:
     """det(lambda*I - A) for a square integer matrix, exactly.
 
     Faddeev-LeVerrier recurrence; all divisions are exact over the
-    integers.
+    integers.  The matrix products run on NumPy arrays of Python ints
+    (dtype object), so entries never overflow.
     """
     n = len(a)
     A = [[int(x) for x in row] for row in a]
@@ -594,19 +603,20 @@ def charpoly(a: Sequence[Sequence[int]]) -> IntPoly:
             raise ValueError("matrix is not square")
     if n == 0:
         return ONE
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    A = np.array(A, dtype=object)
+    M = np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
+    diag = np.diag_indices(n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     c = 1
     for k in range(1, n + 1):
         if k > 1:
-            for i in range(n):
-                M[i][i] += c
-        # M <- A @ M
-        M = [[sum(A[i][l] * M[l][j] for l in range(n) if A[i][l])
-              for j in range(n)] for i in range(n)]
-        tr = sum(M[i][i] for i in range(n))
-        assert tr % k == 0
+            M[diag] += c
+        M = A.dot(M)
+        tr = sum(M.diagonal().tolist())
+        if tr % k:
+            raise StructureViolation(
+                f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
         c = -tr // k
         coeffs[n - k] = c
     return IntPoly(coeffs)

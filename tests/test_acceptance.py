@@ -7,6 +7,7 @@ records a FAIL line via the `criterion` helper.
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -37,13 +38,21 @@ def criterion(num: int, title: str):
 def test_criterion_1_certification_desk_scale():
     with criterion(1, "certification e=4..30, zero failures"):
         total = 0
+        branches = Counter()
         for e in range(4, 31):
             if gr.edge_params(e).t == 0:
                 continue
             certs = list(ct.certify_all(e))
             assert len(certs) == max(0, te.count_S(e) - 2)
             total += len(certs)
+            branches.update(f"{c.d_branch}/{c.v_branch}" for c in certs)
         assert total > 1500  # sanity: the search space was actually walked
+        # a kernel change that flips any candidate's branch fails here
+        assert branches == {
+            "NegativeLeadingWithBound/SmallRoot": 1015,
+            "PositiveLeading/Unused": 631,
+            "NegativeLeadingWithBound/BoundAtNL": 1,
+        }
 
 
 def test_criterion_2_omega_bell_coincidence():
@@ -154,7 +163,7 @@ def test_criterion_9_link_function_law():
             e = rng.randint(2, 20)
             steps = rng.choice(list(te.enumerate_S(e)))
             num, den = ct.generic_r_poly(steps)
-            _, p_t1 = ct.tsub_charpolys(steps.steps)
+            p_t1 = ct.tsub_charpolys(steps.steps)[1].expand()
             rho1 = xp.kth_largest_root(p_t1, 1)
             # R(rho(T1)) = 0: numerator = x * P_T1 vanishes there,
             # denominator does not

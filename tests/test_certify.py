@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,14 +19,14 @@ from rhomax.graphs import StepSequence
 class TestQPoly:
     def test_identical_inputs_vanish(self):
         s = StepSequence((4, 1))
-        assert ct.q_poly(s, s).q.is_zero
+        assert ct.q_poly(s, s).is_zero
 
     def test_antisymmetry(self):
         a, b = StepSequence((4, 1)), StepSequence((3, 2))
-        assert ct.q_poly(a, b).q == -ct.q_poly(b, a).q
+        assert ct.q_poly(a, b) == -ct.q_poly(b, a)
 
     def test_e5_vs_star_positive_leading(self):
-        q = ct.q_poly(StepSequence((4, 1)), StepSequence((5,))).q
+        q = ct.q_poly(StepSequence((4, 1)), StepSequence((5,)))
         assert not q.is_zero
         assert q.leading > 0
 
@@ -90,6 +91,10 @@ class TestRhoOfThreshold:
             ct.rho_of_threshold(StepSequence((4,)), 5)
 
 
+def _dense(a):
+    return xp.charpoly(a.astype(int).tolist())
+
+
 class TestCharpolyViaModules:
     def test_agrees_with_dense_on_threshold_graphs(self):
         rng = random.Random(11)
@@ -99,7 +104,92 @@ class TestCharpolyViaModules:
             steps = rng.choice(seqs)
             n = steps[0] + 2 + rng.randint(0, 3)
             a = gr.adjacency(gr.ThresholdGraph(n, steps)).a
-            assert ct.charpoly_via_modules(a) == xp.charpoly(a.astype(int).tolist())
+            assert ct.charpoly_via_modules(a).expand() == _dense(a)
+
+    def test_tsub_and_cone_agree_with_dense(self):
+        for e in range(1, 11):
+            for steps in te.enumerate_S(e):
+                a = gr.tsub_adjacency(steps)
+                p_t, p_t1 = ct.tsub_charpolys(steps.steps)
+                assert p_t.expand() == _dense(a), steps.steps
+                assert p_t1.expand() == _dense(gr.cone(a)), steps.steps
+
+    def test_factors_are_the_trivial_eigenvalues(self):
+        # K_1,4 has eigenvalue 0 three times; K_5 has -1 four times
+        star = ct.charpoly_via_modules(gr.tsub_adjacency(StepSequence((4,))))
+        assert star.a == 3 and star.b == 0 and star.r == IntPoly([-4, 0, 1])
+        clique = ct.charpoly_via_modules(gr.tsub_adjacency(StepSequence((4, 3, 2, 1))))
+        assert clique.a == 0 and clique.b == 4 and clique.r == IntPoly([-4, 1])
+
+
+def _full_q(g1, g2):
+    """The comparison polynomial from the expanded charpolys."""
+    p1_t, p1_t1 = (f.expand() for f in ct.tsub_charpolys(g1.steps))
+    p2_t, p2_t1 = (f.expand() for f in ct.tsub_charpolys(g2.steps))
+    return X * (p1_t1 * p2_t - p2_t1 * p1_t) + (g1[0] - g2[0]) * (p1_t * p2_t)
+
+
+def _random_member(rng, e, first):
+    """A member of S_e with the given first part, parts drawn at random
+    among those that leave a feasible remainder."""
+    parts, rest = [first], e - first
+    while rest:
+        hi = min(rest, parts[-1] - 1)
+        lo = next(p for p in range(1, hi + 1) if rest - p <= p * (p - 1) // 2)
+        parts.append(rng.randint(lo, hi))
+        rest -= parts[-1]
+    return StepSequence(parts)
+
+
+def _reduced_q_cases():
+    """Every member of S*_e for 5 <= e <= 20 (t >= 1), and seeded draws at
+    e = 40 and e = 130."""
+    cases = [(e, s) for e in range(5, 21) if gr.edge_params(e).t
+             for s in te.enumerate_S_star(e)]
+    rng = random.Random(2024)
+    cases += [(40, s) for s in rng.sample(list(te.enumerate_S_star(40)), 12)]
+    cases += [(130, _random_member(rng, 130, first))
+              for first in (17, 20, 30, 45, 70, 100, 125)]
+    return cases
+
+
+class TestReducedQPoly:
+    """q_poly equals the full comparison polynomial divided by x^a (x+1)^b."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for e, steps in _reduced_q_cases():
+            for rival in (gr.d_step_sequence(e), StepSequence((e,))):
+                out.append((steps, rival))
+        return out
+
+    def test_full_is_trivial_factor_times_reduced(self, cases):
+        for steps, rival in cases:
+            full, red = _full_q(steps, rival), ct.q_poly(steps, rival)
+            if full.is_zero:
+                assert red.is_zero
+                continue
+            cof = xp.divexact(full, red).coeffs
+            alpha = next(i for i, c in enumerate(cof) if c)
+            beta = len(cof) - 1 - alpha
+            assert cof[alpha:] == tuple(comb(beta, i) for i in range(beta + 1)), \
+                (steps.steps, rival.steps)
+
+    def test_largest_root_unchanged(self, cases):
+        # every third case for e <= 20, all of the e = 40 and e = 130 draws
+        for i, (steps, rival) in enumerate(cases):
+            if steps.e <= 20 and i % 3:
+                continue
+            full, red = _full_q(steps, rival), ct.q_poly(steps, rival)
+            if full.is_zero:
+                continue
+            r_full = xp.kth_largest_root(full, 1)
+            r_red = xp.kth_largest_root(red, 1)
+            if r_full is not None and xp.compare_with_rational(r_full, 0) > 0:
+                assert xp.compare(r_full, r_red) == 0, (steps.steps, rival.steps)
+            else:
+                assert r_red is None or xp.compare_with_rational(r_red, 0) <= 0
 
 
 class TestCertifyCandidate:

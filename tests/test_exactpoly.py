@@ -181,6 +181,79 @@ class TestSignAt:
         psi4 = IntPoly([16, -48, -32, 8])
         assert xp.sign_at(psi4, 4) == -1
 
+    @given(small_polys, st.fractions(max_denominator=50))
+    @settings(max_examples=200)
+    def test_agrees_with_fraction_horner(self, p, x):
+        v = Fraction(0)
+        for c in reversed(p.coeffs):
+            v = v * x + c
+        assert xp.sign_at(p, x) == (v > 0) - (v < 0)
+        if x.denominator == 1:
+            assert xp.sign_at(p, int(x)) == xp.sign_at(p, x)
+
+
+class TestDivexact:
+    @given(small_polys, small_polys)
+    @settings(max_examples=100)
+    def test_round_trip(self, a, b):
+        if b.is_zero:
+            return
+        assert xp.divexact(a * b, b) == a
+
+    def test_not_exact(self):
+        with pytest.raises(ValueError, match="not exact"):
+            xp.divexact(IntPoly([1, 0, 1]), X)
+        with pytest.raises(ValueError, match="not exact"):
+            xp.divexact(IntPoly([1, 0, 2]), IntPoly([0, 2]))
+        with pytest.raises(ValueError, match="not exact"):
+            xp.divexact(IntPoly([3]), X)
+        # a leading coefficient that 2 does not divide, and a remainder
+        with pytest.raises(ValueError, match="not exact"):
+            xp.divexact(IntPoly([1, 0, 1]), IntPoly([1, 2]))
+
+    def test_not_integral(self):
+        # x / (2x) = 1/2 is exact over the rationals
+        with pytest.raises(ValueError, match="not integral"):
+            xp.divexact(X, IntPoly([0, 2]))
+        with pytest.raises(ValueError, match="not integral"):
+            xp.divexact(IntPoly([1, 3, 2]), IntPoly([2, 2]))
+
+    def test_zero_divisor(self):
+        from rhomax.errors import ZeroPolynomial
+        with pytest.raises(ZeroPolynomial):
+            xp.divexact(X, IntPoly())
+
+
+def test_library_checks_survive_optimize():
+    """`python -O` strips assert statements, so the certified modules
+    check with explicit raises instead."""
+    import ast
+    import inspect
+
+    from rhomax import certify
+    for mod in (xp, certify):
+        tree = ast.parse(inspect.getsource(mod))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{mod.__name__}: assert at lines {lines}"
+
+
+class TestEvalInterval:
+    @given(small_polys, st.fractions(max_denominator=64),
+           st.fractions(min_value=0, max_value=3, max_denominator=64))
+    @settings(max_examples=200)
+    def test_agrees_with_fraction_interval_horner(self, p, lo, width):
+        hi = lo + width
+        a, b = Fraction(0), Fraction(0)
+        for c in reversed(p.coeffs):
+            prods = (a * lo, a * hi, b * lo, b * hi)
+            a, b = min(prods) + c, max(prods) + c
+        assert xp.eval_interval(p, lo, hi) == (a, b)
+
+    def test_encloses_values(self):
+        p = IntPoly([-2, 0, 1])
+        mn, mx = xp.eval_interval(p, Fraction(1), Fraction(3, 2))
+        assert mn <= -1 and mx >= Fraction(1, 4)
+
 
 class TestEvalRatfun:
     def test_sqrt2_identity(self):

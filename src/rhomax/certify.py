@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -190,6 +191,20 @@ def v_quadratic(e: int) -> IntPoly:
     return IntPoly([-2 * e, -1, 1])
 
 
+@functools.lru_cache(maxsize=256)
+def family_bounds(e: int) -> tuple[AlgebraicReal, AlgebraicReal]:
+    """(rho_t1d, rho_t1v): the spectral radii of the cones over the
+    near-clique and the star T-subgraph.  Every candidate with surplus e
+    compares its roots against these two, so they are isolated once per e."""
+    rho_t1d = xp.kth_largest_root(d_cubic(e), 1)
+    if rho_t1d is None:
+        raise StructureViolation(f"near-clique cone cubic has no real root at e={e}")
+    rho_t1v = xp.kth_largest_root(v_quadratic(e), 1)
+    if rho_t1v is None:
+        raise StructureViolation(f"star cone quadratic has no real root at e={e}")
+    return rho_t1d, rho_t1v
+
+
 def r_V_closed_form(e: int) -> tuple[IntPoly, IntPoly]:
     """Closed-form link function for the star-like family."""
     if e < 1:
@@ -226,13 +241,6 @@ class Certificate:
         }
 
 
-def _cmp_opt(a: Optional[AlgebraicReal], b: AlgebraicReal) -> int:
-    """compare with None meaning -infinity."""
-    if a is None:
-        return -1
-    return xp.compare(a, b)
-
-
 def _no_integer_between(lo: Fraction, hi: Fraction) -> bool:
     """True if [lo, hi] contains no integer (or is empty)."""
     if lo > hi:
@@ -241,8 +249,7 @@ def _no_integer_between(lo: Fraction, hi: Fraction) -> bool:
     return first > hi
 
 
-def certify_candidate(e: int, steps: StepSequence,
-                      refine_budget: int = xp.DEFAULT_REFINE_BUDGET) -> Certificate:
+def certify_candidate(e: int, steps: StepSequence) -> Certificate:
     """Run the elimination procedure on one candidate T-subgraph.
 
     Raises VerificationFailed if any certified inequality does not hold,
@@ -261,58 +268,43 @@ def certify_candidate(e: int, steps: StepSequence,
     qd = q_poly(steps, d_steps)
     if qd.is_zero:
         raise VerificationFailed(2, f"comparison polynomial vs D vanishes for {steps.steps}")
-    rho_t1d = xp.kth_largest_root(d_cubic(e), 1)
-    if rho_t1d is None:
-        raise StructureViolation(f"near-clique cone cubic has no real root at e={e}")
-
-    n_u_root: Optional[AlgebraicReal] = None
+    rho_t1d, rho_t1v = family_bounds(e)
+    above = list(islice(xp.roots_at_or_above(qd, rho_t1d), 2))
     if qd.leading > 0:
-        r1 = xp.kth_largest_root(qd, 1)
-        if _cmp_opt(r1, rho_t1d) < 0:
+        if not above:
             return Certificate(e, steps, POSITIVE_LEADING, V_UNUSED,
                                None, None, COVER_ALL_N)
         raise VerificationFailed(
             3, f"positive-leading comparison root not below the family bound for {steps.steps}")
-    else:
-        r1 = xp.kth_largest_root(qd, 1)
-        r2 = xp.kth_largest_root(qd, 2)
-        if r1 is None or xp.compare(rho_t1d, r1) >= 0:
-            raise VerificationFailed(
-                4, f"largest comparison root not above the family bound for {steps.steps}")
-        if r2 is not None and xp.compare(r2, rho_t1d) >= 0:
-            raise VerificationFailed(
-                4, f"second comparison root not below the family bound for {steps.steps}")
-        d_branch = NEGATIVE_LEADING_WITH_BOUND
-        n_u_root = r1
+    if not above or xp.compare(above[0], rho_t1d) == 0:
+        raise VerificationFailed(
+            4, f"largest comparison root not above the family bound for {steps.steps}")
+    if len(above) > 1:
+        raise VerificationFailed(
+            4, f"second comparison root not below the family bound for {steps.steps}")
+    d_branch = NEGATIVE_LEADING_WITH_BOUND
+    n_u_root = above[0]
 
     # V side -------------------------------------------------------------
     qv = q_poly(steps, StepSequence((e,)))
     if qv.is_zero or qv.leading < 0:
         raise VerificationFailed(
             5, f"comparison polynomial vs V not positive-leading for {steps.steps}")
-    rho_t1v = xp.kth_largest_root(v_quadratic(e), 1)
-    if rho_t1v is None:
-        raise StructureViolation(f"star cone quadratic has no real root at e={e}")
-    s1 = xp.kth_largest_root(qv, 1)
-    if _cmp_opt(s1, rho_t1v) < 0:
-        v_branch = V_SMALL_ROOT
-        n_l_root: Optional[AlgebraicReal] = None
-    else:
-        v_branch = V_BOUND_AT_NL
-        n_l_root = s1
+    n_l_root = next(xp.roots_at_or_above(qv, rho_t1v), None)
+    v_branch = V_SMALL_ROOT if n_l_root is None else V_BOUND_AT_NL
 
     # step (7): no integer order escapes both certified regions ----------
     num_d, den_d = r_D_closed_form(e)
     num_v, den_v = r_V_closed_form(e)
     eps = Fraction(1, 16)
-    for _ in range(refine_budget):
-        ivu = xp.eval_ratfun(num_d, den_d, n_u_root, eps, refine_budget)
+    for _ in range(xp.DEFAULT_REFINE_BUDGET):
+        ivu = xp.eval_ratfun(num_d, den_d, n_u_root, eps)
         n_u = RationalInterval(p.b + ivu.lo, p.b + ivu.hi)
         if n_l_root is None:
             # the star family wins for every order where it exists
             n_l = RationalInterval(Fraction(e + 1), Fraction(e + 1))
         else:
-            ivl = xp.eval_ratfun(num_v, den_v, n_l_root, eps, refine_budget)
+            ivl = xp.eval_ratfun(num_v, den_v, n_l_root, eps)
             n_l = RationalInterval(e + 2 + ivl.lo, e + 2 + ivl.hi)
         if _no_integer_between(n_u.lo, n_l.hi):
             return Certificate(e, steps, d_branch, v_branch, n_u, n_l, COVER_SPLIT)
@@ -321,8 +313,7 @@ def certify_candidate(e: int, steps: StepSequence,
         7, f"could not certify a gap between the two bounds for {steps.steps}")
 
 
-def certify_all(e: int, refine_budget: int = xp.DEFAULT_REFINE_BUDGET,
-                resume_after=None, jobs: int = 1) -> Iterator[Certificate]:
+def certify_all(e: int, resume_after=None, jobs: int = 1) -> Iterator[Certificate]:
     """Certificates for every member of S*_e, in enumeration order."""
     p = edge_params(e)
     if e < 4 or p.t == 0:
@@ -330,12 +321,12 @@ def certify_all(e: int, refine_budget: int = xp.DEFAULT_REFINE_BUDGET,
     candidates = enumerate_S_star(e, resume_after)
     if jobs <= 1:
         for steps in candidates:
-            yield certify_candidate(e, steps, refine_budget)
+            yield certify_candidate(e, steps)
     else:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = ((e, s, refine_budget) for s in candidates)
+            args = ((e, s) for s in candidates)
             for cert in pool.map(_certify_star, args, chunksize=8):
                 yield cert
 

@@ -26,7 +26,7 @@ from . import exactpoly as xp
 from . import graphs as gr
 from . import oracle as orc
 from . import tsubenum as te
-from .errors import RhomaxError, VerificationFailed
+from .errors import RhomaxError, StructureViolation, VerificationFailed
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -116,7 +116,7 @@ def cmd_build(args) -> int:
         if args.steps is None:
             print("build tsub requires --steps", file=sys.stderr)
             return EXIT_OPERATIONAL
-        g = gr.threshold_from_tsub(gr.StepSequence(parse_steps(args.steps)), args.n)
+        g = gr.ThresholdGraph(args.n, gr.StepSequence(parse_steps(args.steps)))
     dense = gr.adjacency(g)
     out = {
         "n": g.n,
@@ -153,8 +153,6 @@ def _certificate_filename(e: int) -> str:
 def cmd_certify(args, cfg_file: dict) -> int:
     e_lo, e_hi = parse_e_range(args.e)
     jobs = _resolve(args.jobs, "jobs", cfg_file, 1, int)
-    budget = _resolve(args.refine_budget, "refine_budget", cfg_file,
-                      xp.DEFAULT_REFINE_BUDGET, int)
     out_dir = _resolve(args.out, "out_dir", cfg_file, "certificates")
     resume = parse_steps(args.resume_after) if args.resume_after else None
     os.makedirs(out_dir, exist_ok=True)
@@ -175,8 +173,7 @@ def cmd_certify(args, cfg_file: dict) -> int:
         t0 = time.monotonic()
         last_report = t0
         try:
-            for cert in ct.certify_all(e, refine_budget=budget,
-                                       resume_after=resume, jobs=jobs):
+            for cert in ct.certify_all(e, resume_after=resume, jobs=jobs):
                 if args.timing:
                     elapsed = int((time.monotonic() - t0) * 1000)
                     cert = ct.Certificate(cert.e, cert.steps, cert.d_branch,
@@ -206,12 +203,16 @@ def cmd_certify(args, cfg_file: dict) -> int:
         }
         _atomic_write(os.path.join(out_dir, fname),
                       json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        note = " (S* empty)" if not certs else ""
-        print(f"e={e}: {len(certs)} candidates certified{note}")
-        index_entries.append({"e": e, "status": "pass",
-                              "count": len(certs), "file": fname})
+        # a resumed run certifies only the tail of S*_e: not a pass
+        expected = te.count_S(e) - 2
+        status = "pass" if len(certs) == expected else "partial"
+        note = " (S* empty)" if not expected else f" ({status})"
+        print(f"e={e}: {len(certs)} of {expected} candidates certified{note}")
+        index_entries.append({"e": e, "status": status, "count": len(certs),
+                              "expected": expected, "file": fname})
+    all_pass = all(x["status"] not in ("fail", "partial") for x in index_entries)
     index = {"e_range": [e_lo, e_hi], "entries": index_entries,
-             "all_pass": not any_failure}
+             "all_pass": all_pass}
     _atomic_write(os.path.join(out_dir, "index.json"),
                   json.dumps(index, indent=1, sort_keys=True) + "\n")
     return EXIT_VERIFICATION if any_failure else EXIT_OK
@@ -290,7 +291,7 @@ def cmd_oracle(args) -> int:
                 print("oracle rho with family=tsub requires --steps",
                       file=sys.stderr)
                 return EXIT_OPERATIONAL
-            g = gr.threshold_from_tsub(steps, args.n)
+            g = gr.ThresholdGraph(args.n, steps)
         pd = orc.spectral_radius(gr.adjacency(g))
         print(json.dumps({"n": g.n, "e": g.e, "rho": pd.rho}))
         return EXIT_OK
@@ -307,73 +308,83 @@ def cmd_oracle(args) -> int:
 # -- selfcheck -----------------------------------------------------------
 
 
+def _check(ok: bool, what: str) -> None:
+    """An invariant check that, unlike assert, also runs under python -O."""
+    if not ok:
+        raise StructureViolation(what)
+
+
 def _suite_graphs() -> None:
     for e in range(1, 40):
         p = gr.edge_params(e)
-        assert p.k * (p.k - 1) // 2 <= e < (p.k + 1) * p.k // 2
-        assert p.t == e - p.k * (p.k - 1) // 2
+        _check(p.k * (p.k - 1) // 2 <= e < (p.k + 1) * p.k // 2, f"e={e}: k out of range")
+        _check(p.t == e - p.k * (p.k - 1) // 2, f"e={e}: t != e - C(k,2)")
         d = gr.d_step_sequence(e)
-        assert d.e == e
+        _check(d.e == e, f"e={e}: near-clique steps do not sum to e")
         g = gr.adjacency(gr.build_D(p.b + 3, e))
-        assert gr.is_stepwise(g.a)
-        assert g.size == p.b + 3 - 1 + e
+        _check(gr.is_stepwise(g.a), f"e={e}: D adjacency not stepwise")
+        _check(g.size == p.b + 3 - 1 + e, f"e={e}: D has the wrong size")
         degs = g.degree_sequence()
-        assert all(x >= y for x, y in zip(degs, degs[1:]))
+        _check(all(x >= y for x, y in zip(degs, degs[1:])),
+               f"e={e}: D degrees not non-increasing")
 
 
 def _suite_exactpoly() -> None:
     p = xp.IntPoly([-2, 0, 1])  # x^2 - 2
     r = xp.kth_largest_root(p, 1)
-    assert r is not None
+    _check(r is not None, "x^2 - 2 has no largest root")
     iv = r.refined(Fraction(1, 10**6)).interval
-    assert iv.width <= Fraction(1, 10**6) and iv.lo ** 2 <= 2 <= iv.hi ** 2
-    assert xp.sign_at_root(xp.IntPoly([0, 1]), r) > 0
-    assert xp.count_real_roots(p) == 2
+    _check(iv.width <= Fraction(1, 10**6) and iv.lo ** 2 <= 2 <= iv.hi ** 2,
+           "refined sqrt(2) enclosure wrong")
+    _check(xp.sign_at_root(xp.IntPoly([0, 1]), r) > 0, "sqrt(2) not positive")
+    _check(xp.count_real_roots(p) == 2, "x^2 - 2 does not have two real roots")
     a = xp.IntPoly([1, 2, 1])
-    assert xp.squarefree_part(a) == xp.IntPoly([1, 1])
+    _check(xp.squarefree_part(a) == xp.IntPoly([1, 1]), "squarefree part of (x+1)^2")
     cp_ = xp.charpoly([[0, 1], [1, 0]])
-    assert cp_ == xp.IntPoly([-1, 0, 1])
+    _check(cp_ == xp.IntPoly([-1, 0, 1]), "charpoly of K2")
 
 
 def _suite_tsubenum() -> None:
     for e in range(1, 25):
         seqs = list(te.enumerate_S(e))
-        assert len(seqs) == te.count_S(e)
-        assert all(s.e == e for s in seqs)
+        _check(len(seqs) == te.count_S(e), f"e={e}: enumeration != count_S")
+        _check(all(s.e == e for s in seqs), f"e={e}: sequence with wrong surplus")
         keys = [s.steps for s in seqs]
-        assert keys == sorted(keys, reverse=True)
+        _check(keys == sorted(keys, reverse=True), f"e={e}: enumeration out of order")
         if len(seqs) > 2:
             mid = seqs[len(seqs) // 2]
             rest = [s.steps for s in te.enumerate_S(e, mid.steps)]
-            assert rest == keys[keys.index(mid.steps) + 1:]
+            _check(rest == keys[keys.index(mid.steps) + 1:],
+                   f"e={e}: resume does not continue after the cursor")
 
 
 def _suite_certify() -> None:
     for e in (5, 7, 8, 9, 11):
         for cert in ct.certify_all(e):
-            assert cert.coverage in (ct.COVER_ALL_N, ct.COVER_SPLIT)
+            _check(cert.coverage in (ct.COVER_ALL_N, ct.COVER_SPLIT),
+                   f"e={e}: {cert.steps.steps} has coverage {cert.coverage}")
 
 
 def _suite_compare() -> None:
     for e in range(4, 30):
         poly = cp.psi_poly(e)
-        assert poly.leading > 0
+        _check(poly.leading > 0, f"e={e}: psi cubic not positive-leading")
         p = gr.edge_params(e)
-        assert xp.sign_at(poly, p.k + 1) < 0
+        _check(xp.sign_at(poly, p.k + 1) < 0, f"e={e}: psi cubic not negative at k+1")
         psi = cp.psi_value(e)
-        assert xp.compare_with_rational(psi, p.k + 1) > 0
+        _check(xp.compare_with_rational(psi, p.k + 1) > 0, f"e={e}: psi <= k+1")
         cp.psi_root_structure(e)
-    assert cp.omega_value(10).exact == 60
-    assert cp.classify(60, 10).verdict == cp.TIE
+    _check(cp.omega_value(10).exact == 60, "omega_10 != 60")
+    _check(cp.classify(60, 10).verdict == cp.TIE, "(60, 10) is not a tie")
 
 
 def _suite_oracle() -> None:
     import math
     pd = orc.spectral_radius(gr.adjacency(gr.build_V(6, 0)))
-    assert abs(pd.rho - math.sqrt(5)) < 1e-8
+    _check(abs(pd.rho - math.sqrt(5)) < 1e-8, "rho(K_{1,5}) != sqrt(5)")
     r = ct.rho_of_threshold(gr.d_step_sequence(5), 8).refined(Fraction(1, 10**9))
     num = orc.spectral_radius(gr.adjacency(gr.build_D(8, 5)), tol=1e-12).rho
-    assert abs(float(r.interval.mid) - num) < 1e-7
+    _check(abs(float(r.interval.mid) - num) < 1e-7, "exact and numeric rho(D(8,5)) differ")
 
 
 def cmd_selfcheck(args) -> int:
@@ -431,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the elimination over a range")
     p.add_argument("--e", required=True, help="range, e.g. 4..30 or 12")
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--refine-budget", type=int, default=None)
     p.add_argument("--out", default=None, help="certificate directory")
     p.add_argument("--resume-after", help="cursor for the first e in range")
     p.add_argument("--timing", action="store_true",

@@ -99,10 +99,10 @@ class OmegaValue:
 def omega_value(e: int) -> OmegaValue:
     psi = psi_value(e)
     r = psi.as_rational()
+    exact = None
     if r is not None:
-        exact = e + 2 + r * (r + 1) * (r * r - r - 2 * e) / (r * r - e)
-    else:
-        exact = None
+        num, den = r_V_closed_form(e)
+        exact = e + 2 + Fraction(num(r), den(r))
     return OmegaValue(e, psi, exact)
 
 
@@ -147,7 +147,8 @@ def bell_f(lam: Fraction | int) -> Fraction:
 
 
 def psi_root_structure(e: int) -> str:
-    """Certified root layout of the comparison cubic via Sturm counts."""
+    """Certified root layout of the comparison cubic: a Sturm count of
+    all its real roots and the roots at or above k."""
     if e < 4:
         raise ValueError("e must be >= 4")
     p = edge_params(e)
@@ -155,9 +156,8 @@ def psi_root_structure(e: int) -> str:
     sf = xp.squarefree_part(poly)
     b = xp.cauchy_bound(poly)
     total = xp.sturm_count(poly, RationalInterval(-b, b))
-    at_least_k = xp.sturm_count(poly, RationalInterval(Fraction(p.k), b))
-    if xp.sign_at(poly, p.k) == 0:
-        at_least_k += 1
+    k = AlgebraicReal.from_rational(p.k)
+    at_least_k = len(list(xp.roots_at_or_above(poly, k)))
     if 4 <= e <= 27:
         if sf.degree == 3 and total == 3 and at_least_k == 1:
             return THREE_DISTINCT_ONE_ABOVE_K
@@ -177,7 +177,8 @@ def ell_bound(e: int) -> tuple[Fraction, Fraction]:
     if p.t == 0:
         raise InvalidRegime("the t = 0 regime is covered by the closed form")
     ell = Fraction(e * p.k, e - p.k - 1)
-    bound = e + 2 + ell * (ell + 1) * (ell * ell - ell - 2 * e) / (ell * ell - e)
+    num, den = r_V_closed_form(e)
+    bound = e + 2 + Fraction(num(ell), den(ell))
     return ell, bound
 
 

@@ -25,6 +25,8 @@ from .errors import (
     ZeroPolynomial,
 )
 
+# bisection cap of every refinement loop; reaching it raises
+# RefinementBudgetExceeded rather than deciding
 DEFAULT_REFINE_BUDGET = 256
 
 
@@ -145,13 +147,6 @@ class IntPoly:
 
 X = IntPoly([0, 1])
 ONE = IntPoly([1])
-
-
-def from_roots(roots: Sequence[int]) -> IntPoly:
-    p = ONE
-    for r in roots:
-        p = p * IntPoly([-r, 1])
-    return p
 
 
 # -- exact division and gcd ---------------------------------------------
@@ -377,13 +372,14 @@ class AlgebraicReal:
             return AlgebraicReal(p, mid, hi)
         return AlgebraicReal(p, lo, mid)
 
-    def refined(self, width: Fraction, budget: int = DEFAULT_REFINE_BUDGET) -> "AlgebraicReal":
+    def refined(self, width: Fraction) -> "AlgebraicReal":
         cur = self
         steps = 0
         while not cur.is_exact and cur.hi - cur.lo > width:
-            if steps >= budget:
+            if steps >= DEFAULT_REFINE_BUDGET:
                 raise RefinementBudgetExceeded(
-                    f"could not reach width {width} in {budget} bisections")
+                    f"could not reach width {width} in "
+                    f"{DEFAULT_REFINE_BUDGET} bisections")
             cur = cur.bisected()
             steps += 1
         return cur
@@ -457,6 +453,16 @@ def kth_largest_root(p: IntPoly, k: int) -> Optional[AlgebraicReal]:
     return None
 
 
+def roots_at_or_above(p: IntPoly, bound: AlgebraicReal) -> Iterator[AlgebraicReal]:
+    """Lazily yield the distinct real roots of p that are >= bound,
+    largest first, from one real_roots_desc walk.  The walk stops at the
+    first root below bound, so roots further down are never isolated."""
+    for r in real_roots_desc(p):
+        if compare(r, bound) < 0:
+            return
+        yield r
+
+
 def count_real_roots(p: IntPoly) -> int:
     sf = squarefree_part(p)
     if sf.degree <= 0:
@@ -478,8 +484,7 @@ def _roots_in(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return n
 
 
-def sign_at_root(p: IntPoly, x: AlgebraicReal,
-                 budget: int = DEFAULT_REFINE_BUDGET) -> int:
+def sign_at_root(p: IntPoly, x: AlgebraicReal) -> int:
     """Exact sign of p evaluated at the algebraic number x."""
     if p.is_zero:
         return 0
@@ -491,7 +496,7 @@ def sign_at_root(p: IntPoly, x: AlgebraicReal,
         # the unique root of defpoly in the interval is also a root of p
         return 0
     cur = x
-    for _ in range(budget):
+    for _ in range(DEFAULT_REFINE_BUDGET):
         mn, mx = eval_interval(p, cur.lo, cur.hi)
         if mn > 0:
             return 1
@@ -501,8 +506,7 @@ def sign_at_root(p: IntPoly, x: AlgebraicReal,
     raise RefinementBudgetExceeded("sign_at_root did not separate from zero")
 
 
-def compare(a: AlgebraicReal, b: AlgebraicReal,
-            budget: int = DEFAULT_REFINE_BUDGET) -> int:
+def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """Exact trichotomy: -1, 0, +1 as a <, =, > b.
 
     Equality is decided by a common-root test on gcd(defpoly_a, defpoly_b),
@@ -512,16 +516,16 @@ def compare(a: AlgebraicReal, b: AlgebraicReal,
     if qa is not None and qb is not None:
         return (qa > qb) - (qa < qb)
     if qa is not None:
-        return -sign_at_root(IntPoly([-qa.numerator, qa.denominator]), b, budget)
+        return -sign_at_root(IntPoly([-qa.numerator, qa.denominator]), b)
     if qb is not None:
-        return sign_at_root(IntPoly([-qb.numerator, qb.denominator]), a, budget)
+        return sign_at_root(IntPoly([-qb.numerator, qb.denominator]), a)
     ilo, ihi = max(a.lo, b.lo), min(a.hi, b.hi)
     if ilo <= ihi:
         g = poly_gcd(a.defpoly, b.defpoly)
         if g.degree >= 1 and _roots_in(g, ilo, ihi) >= 1:
             return 0
     ca, cb = a, b
-    for _ in range(budget):
+    for _ in range(DEFAULT_REFINE_BUDGET):
         if ca.hi < cb.lo:
             return -1
         if cb.hi < ca.lo:
@@ -530,9 +534,8 @@ def compare(a: AlgebraicReal, b: AlgebraicReal,
     raise RefinementBudgetExceeded("compare did not separate intervals")
 
 
-def compare_with_rational(a: AlgebraicReal, q: Fraction | int,
-                          budget: int = DEFAULT_REFINE_BUDGET) -> int:
-    return compare(a, AlgebraicReal.from_rational(q), budget)
+def compare_with_rational(a: AlgebraicReal, q: Fraction | int) -> int:
+    return compare(a, AlgebraicReal.from_rational(q))
 
 
 # -- interval evaluation ------------------------------------------------
@@ -561,7 +564,7 @@ def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
 
 
 def eval_ratfun(num: IntPoly, den: IntPoly, x: AlgebraicReal,
-                eps: Fraction, budget: int = DEFAULT_REFINE_BUDGET) -> RationalInterval:
+                eps: Fraction) -> RationalInterval:
     """Certified enclosure of num(x)/den(x) of width <= eps."""
     q = x.as_rational()
     if q is not None:
@@ -570,10 +573,10 @@ def eval_ratfun(num: IntPoly, den: IntPoly, x: AlgebraicReal,
             raise PoleAtPoint("denominator vanishes at the evaluation point")
         v = Fraction(num(q)) / dv
         return RationalInterval(v, v)
-    if sign_at_root(den, x, budget) == 0:
+    if sign_at_root(den, x) == 0:
         raise PoleAtPoint("denominator vanishes at the evaluation point")
     cur = x
-    for _ in range(budget):
+    for _ in range(DEFAULT_REFINE_BUDGET):
         nlo, nhi = eval_interval(num, cur.lo, cur.hi)
         dlo, dhi = eval_interval(den, cur.lo, cur.hi)
         if dlo > 0 or dhi < 0:

@@ -150,16 +150,6 @@ def build_V(n: int, e: int) -> ThresholdGraph:
     return ThresholdGraph(n, steps)
 
 
-def threshold_from_tsub(steps: StepSequence, n: int) -> ThresholdGraph:
-    return ThresholdGraph(n, steps)
-
-
-def tsubgraph_of(g: ThresholdGraph) -> StepSequence:
-    if not g.steps.steps:
-        raise Degenerate("T-subgraph undefined for a tree (e = 0)")
-    return g.steps
-
-
 def tsub_adjacency(steps: StepSequence) -> np.ndarray:
     """Stepwise adjacency of the T-subgraph itself (order s_1 + 1)."""
     if not steps.steps:

@@ -84,22 +84,3 @@ def enumerate_S_star(e: int, resume_after: Optional[Sequence[int]] = None
     for seq in enumerate_S(e, resume_after):
         if seq.steps not in excluded:
             yield seq
-
-
-class CandidateStream:
-    """Single-consumer stream over S*_e that remembers the last emitted
-    sequence as a resume cursor."""
-
-    def __init__(self, e: int, resume_after: Optional[Sequence[int]] = None):
-        self.e = e
-        self.cursor: Optional[tuple[int, ...]] = (
-            tuple(resume_after) if resume_after is not None else None)
-        self._it = enumerate_S_star(e, resume_after)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> StepSequence:
-        seq = next(self._it)
-        self.cursor = seq.steps
-        return seq

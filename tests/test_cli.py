@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rhomax
 from rhomax import cli
+from rhomax import compare as cp
 
 
 def run(argv, capsys):
@@ -63,8 +67,9 @@ class TestCertify:
         assert index["all_pass"]
         by_e = {x["e"]: x for x in index["entries"]}
         assert by_e[4]["status"] == "pass" and by_e[4]["count"] == 0
+        assert by_e[4]["expected"] == 0
         assert by_e[6]["status"] == "covered_by_closed_form"
-        assert by_e[8]["count"] == 4
+        assert by_e[8]["count"] == 4 and by_e[8]["expected"] == 4
         certs = json.loads(
             open(os.path.join(out_dir, by_e[8]["file"])).read())
         assert certs["count"] == 4
@@ -91,6 +96,19 @@ class TestCertify:
              "--resume-after", ",".join(map(str, mid))], capsys)
         part = json.loads(open(os.path.join(part_dir, "certs_e013.json")).read())
         assert part["certificates"] == full["certificates"][8:]
+        # the resumed tail is recorded as partial, never as a full pass
+        full_index = json.loads(open(os.path.join(full_dir, "index.json")).read())
+        part_index = json.loads(open(os.path.join(part_dir, "index.json")).read())
+        assert full_index["all_pass"] and not part_index["all_pass"]
+        assert full_index["entries"][0]["status"] == "pass"
+        entry = part_index["entries"][0]
+        assert entry["status"] == "partial"
+        assert entry["count"] == 8 and entry["expected"] == 16
+
+    def test_refine_budget_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["certify", "--e", "5", "--refine-budget", "8",
+                      "--out", str(tmp_path)])
 
 
 class TestTable:
@@ -155,3 +173,20 @@ class TestSelfcheck:
         code, out, _ = run(["selfcheck", "--skip-oracle"], capsys)
         assert code == 0
         assert "all suites passed" in out
+
+    def test_passes_under_optimize(self):
+        src = os.path.dirname(os.path.dirname(rhomax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run(
+            [sys.executable, "-O", "-m", "rhomax.cli", "selfcheck", "--skip-oracle"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "all suites passed" in res.stdout
+
+    def test_broken_invariant_fails(self, capsys, monkeypatch):
+        omega = cp.omega_value(10)
+        monkeypatch.setattr(cp, "omega_value",
+                            lambda e: cp.OmegaValue(e, omega.psi, omega.exact + 1))
+        code, out, _ = run(["selfcheck", "--skip-oracle"], capsys)
+        assert code == 2
+        assert "[FAIL] compare" in out and "all suites passed" not in out

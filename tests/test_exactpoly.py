@@ -16,6 +16,14 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=0, max_size=6).map(IntPoly)
 
 
+def from_roots(roots) -> IntPoly:
+    """The monic integer polynomial with the given integer roots."""
+    p = IntPoly([1])
+    for r in roots:
+        p = p * IntPoly([-r, 1])
+    return p
+
+
 class TestIntPoly:
     def test_normalization(self):
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -43,7 +51,7 @@ class TestIntPoly:
 
 class TestCharpoly:
     def test_triangle(self):
-        a = gr.adjacency(gr.threshold_from_tsub(gr.StepSequence((1,)), 3))
+        a = gr.adjacency(gr.ThresholdGraph(3, gr.StepSequence((1,))))
         assert xp.charpoly(a.as_lists()) == IntPoly([-2, -3, 0, 1])
 
     def test_star_k14(self):
@@ -136,10 +144,74 @@ class TestRootIsolation:
                     max_size=5, unique=True))
     @settings(max_examples=50)
     def test_roots_of_split_polynomials(self, roots):
-        p = xp.from_roots(roots)
+        p = from_roots(roots)
         found = [xp.kth_largest_root(p, k) for k in range(1, len(roots) + 1)]
         for f, r in zip(found, sorted(roots, reverse=True)):
             assert xp.compare_with_rational(f, r) == 0
+
+
+def _bound(kind_and_value):
+    """A rational bound, or sqrt(m) (an exact integer when m is a square)
+    as the largest root of x^2 - m."""
+    kind, v = kind_and_value
+    if kind == "rational":
+        return AlgebraicReal.from_rational(v)
+    return xp.kth_largest_root(IntPoly([-v, 0, 1]), 1)
+
+
+def _at_or_above(r: int, kind_and_value) -> bool:
+    kind, v = kind_and_value
+    if kind == "rational":
+        return r >= v
+    return r >= 0 and r * r >= v  # r >= sqrt(v)
+
+
+bounds = st.one_of(
+    st.tuples(st.just("rational"), st.fractions(min_value=-7, max_value=7,
+                                                max_denominator=6)),
+    st.tuples(st.just("sqrt"), st.integers(min_value=1, max_value=40)))
+
+
+class TestRootsAtOrAbove:
+    @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1,
+                    max_size=5, unique=True), bounds)
+    @settings(max_examples=100)
+    def test_yields_exactly_the_roots_at_or_above(self, roots, bound):
+        p = from_roots(roots)
+        found = list(xp.roots_at_or_above(p, _bound(bound)))
+        expect = [r for r in sorted(roots, reverse=True) if _at_or_above(r, bound)]
+        assert len(found) == len(expect)
+        for i, (f, r) in enumerate(zip(found, expect), start=1):
+            assert xp.compare_with_rational(f, r) == 0
+            assert f == xp.kth_largest_root(p, i)
+
+    def test_bound_that_is_a_root_is_yielded(self):
+        found = list(xp.roots_at_or_above(from_roots([3, 1, -2]),
+                                          AlgebraicReal.from_rational(1)))
+        assert [xp.compare_with_rational(r, q) for r, q in zip(found, (3, 1))] == [0, 0]
+        assert len(found) == 2
+        sqrt2 = xp.kth_largest_root(IntPoly([-2, 0, 1]), 1)
+        found = list(xp.roots_at_or_above(IntPoly([-2, 0, 1]) * from_roots([3]), sqrt2))
+        assert len(found) == 2
+        assert xp.compare_with_rational(found[0], 3) == 0
+        assert xp.compare(found[1], sqrt2) == 0
+
+    def test_stops_at_the_first_root_below(self, monkeypatch):
+        pulled = []
+        walk = xp.real_roots_desc
+
+        def counting(p):
+            for r in walk(p):
+                pulled.append(r)
+                yield r
+
+        monkeypatch.setattr(xp, "real_roots_desc", counting)
+        p = from_roots([2, 1, -1, -3, -5])
+        assert next(xp.roots_at_or_above(p, AlgebraicReal.from_rational(5)), None) is None
+        assert len(pulled) == 1
+        pulled.clear()
+        assert len(list(xp.roots_at_or_above(p, AlgebraicReal.from_rational(0)))) == 2
+        assert len(pulled) == 3
 
 
 class TestCompare:
@@ -226,12 +298,12 @@ class TestDivexact:
 
 def test_library_checks_survive_optimize():
     """`python -O` strips assert statements, so the certified modules
-    check with explicit raises instead."""
+    and the selfcheck suites check with explicit raises instead."""
     import ast
     import inspect
 
-    from rhomax import certify
-    for mod in (xp, certify):
+    from rhomax import certify, cli
+    for mod in (xp, certify, cli):
         tree = ast.parse(inspect.getsource(mod))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{mod.__name__}: assert at lines {lines}"

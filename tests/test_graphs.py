@@ -103,32 +103,32 @@ class TestBuildV:
 
 class TestTsubRoundtrip:
     def test_star_is_v(self):
-        g = gr.threshold_from_tsub(gr.StepSequence((4,)), 7)
+        g = gr.ThresholdGraph(7, gr.StepSequence((4,)))
         assert g == gr.build_V(7, 4)
 
     def test_d_step_sequences(self):
-        assert gr.threshold_from_tsub(gr.StepSequence((3, 1)), 5) == gr.build_D(5, 4)
-        assert gr.threshold_from_tsub(gr.StepSequence((3, 2)), 7) == gr.build_D(7, 5)
+        assert gr.ThresholdGraph(5, gr.StepSequence((3, 1))) == gr.build_D(5, 4)
+        assert gr.ThresholdGraph(7, gr.StepSequence((3, 2))) == gr.build_D(7, 5)
 
     def test_tsubgraph_of(self):
-        assert gr.tsubgraph_of(gr.build_V(9, 5)).steps == (5,)
-        assert gr.tsubgraph_of(gr.build_D(9, 5)).steps == (3, 2)
+        assert gr.build_V(9, 5).steps.steps == (5,)
+        assert gr.build_D(9, 5).steps.steps == (3, 2)
 
     def test_tree_rejected(self):
         with pytest.raises(Degenerate):
-            gr.tsubgraph_of(gr.build_V(5, 0))
+            gr.tsub_adjacency(gr.build_V(5, 0).steps)
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                     max_size=5, unique=True))
     def test_roundtrip(self, parts):
         steps = gr.StepSequence(sorted(parts, reverse=True))
         n = steps[0] + 5
-        assert gr.tsubgraph_of(gr.threshold_from_tsub(steps, n)) == steps
+        assert gr.ThresholdGraph(n, steps).steps == steps
 
 
 class TestAdjacency:
     def test_complete_triangle(self):
-        a = gr.adjacency(gr.threshold_from_tsub(gr.StepSequence((1,)), 3)).a
+        a = gr.adjacency(gr.ThresholdGraph(3, gr.StepSequence((1,)))).a
         assert np.array_equal(a, np.ones((3, 3), dtype=np.int8) - np.eye(3, dtype=np.int8))
 
     def test_v64_structure(self):

@@ -14,7 +14,7 @@ from rhomax.errors import BudgetExceeded, NotConnected
 
 class TestSpectralRadius:
     def test_complete_k4(self):
-        g = gr.adjacency(gr.threshold_from_tsub(gr.StepSequence((2, 1)), 4))
+        g = gr.adjacency(gr.ThresholdGraph(4, gr.StepSequence((2, 1))))
         assert abs(orc.spectral_radius(g).rho - 3) < 1e-9
 
     def test_star_k14(self):

@@ -92,13 +92,6 @@ class TestResume:
             rest = steps_of(te.enumerate_S(12, full[i]))
             assert rest == full[i + 1:]
 
-    def test_candidate_stream_cursor(self):
-        cs = te.CandidateStream(9)
-        first = next(cs)
-        second = next(cs)
-        resumed = te.CandidateStream(9, resume_after=first.steps)
-        assert next(resumed).steps == second.steps
-
     def test_blocks_partition_the_stream(self):
         e = 15
         full = steps_of(te.enumerate_S(e))

@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from math import comb
 from typing import Iterator, NamedTuple, Optional
-
-import numpy as np
 
 from . import exactpoly as xp
 from .errors import (
@@ -25,20 +23,15 @@ from .errors import (
     StructureViolation,
     VerificationFailed,
 )
-from .exactpoly import X, AlgebraicReal, IntPoly, RationalInterval
-from .graphs import (
-    StepSequence,
-    cone,
-    d_step_sequence,
-    edge_params,
-    tsub_adjacency,
-)
+from .exactpoly import ONE, X, AlgebraicReal, IntPoly, RationalInterval
+from .graphs import StepSequence, d_step_sequence, edge_params
+# not used here: the benchmark's per-layer trace wraps these two names
+from .graphs import cone, tsub_adjacency
 from .tsubenum import enumerate_S_star
 
 # branch / coverage labels used in certificates
 POSITIVE_LEADING = "PositiveLeading"
 NEGATIVE_LEADING_WITH_BOUND = "NegativeLeadingWithBound"
-D_SKIPPED = "Skipped"
 V_SMALL_ROOT = "SmallRoot"
 V_BOUND_AT_NL = "BoundAtNL"
 V_UNUSED = "Unused"
@@ -66,46 +59,57 @@ class FactoredPoly(NamedTuple):
         return IntPoly([0] * self.a + binom) * self.r
 
 
-def charpoly_via_modules(a: np.ndarray) -> FactoredPoly:
-    """Exact charpoly of a stepwise matrix, factored by its twin classes.
+def creation_sequence(steps: StepSequence) -> list[bool]:
+    """The T-subgraph built one vertex at a time, each added isolated
+    (False) or dominating (True).
 
-    In a stepwise matrix twin vertices (identical rows off the two
-    diagonal positions) are consecutive, so one pass over neighbouring
-    rows finds the classes.  A class of size s is a clique or an
-    independent set and contributes s-1 eigenvalues -1 or 0; the
-    quotient matrix of the classes supplies the rest.
+    Row ends i + s_{i+1} never increase, so of the remaining vertices the
+    lowest is dominating if its row reaches the highest, and otherwise the
+    highest is isolated.  Peeling them off gives the sequence in reverse;
+    its first vertex takes the kind of the next, so it joins that run.
     """
-    n = a.shape[0]
-    m = a.astype(np.int64)
-    i = np.arange(n - 1)
-    differ = m[:-1] != m[1:]
-    differ[i, i] = differ[i, i + 1] = False
-    starts = [0] + [int(j) + 1 for j in np.flatnonzero(differ.any(axis=1))]
-    link = np.diagonal(m, 1)
-    zeros = minus_ones = 0
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        if hi - lo < 2:
-            continue
-        if len(set(link[lo:hi - 1].tolist())) != 1:
-            raise StructureViolation(
-                f"twin class {lo}..{hi - 1} is neither a clique nor independent")
-        if link[lo]:
-            minus_ones += hi - lo - 1
+    if not steps.steps:
+        raise Degenerate("empty step sequence has no T-subgraph")
+    lo, hi = 0, steps[0]
+    peeled = []
+    while lo < hi:
+        dominating = lo < len(steps) and lo + steps[lo] >= hi
+        peeled.append(dominating)
+        if dominating:
+            lo += 1
         else:
-            zeros += hi - lo - 1
-    quotient = np.add.reduceat(m[starts], starts, axis=1)
-    r = xp.charpoly(quotient.tolist())
-    if zeros + minus_ones + r.degree != n:
-        raise StructureViolation(f"factored charpoly has degree != {n}")
-    return FactoredPoly(zeros, minus_ones, r)
+            hi -= 1
+    return [peeled[-1]] + peeled[::-1]
+
+
+def charpoly_via_modules(sequence: list[bool]) -> FactoredPoly:
+    """Exact charpoly of the threshold graph with this creation sequence,
+    factored by its twin classes, which are the maximal runs.
+
+    A run of s isolated (dominating) vertices adds s-1 eigenvalues 0 (-1);
+    the rest is folded in run by run as a pair (P, Q) with
+    Q/P = 1^T (xI - A)^-1 1, starting from (1, 0).
+    """
+    p, q = ONE, IntPoly()
+    zeros = minus_ones = 0
+    for dominating, run in groupby(sequence):
+        s = len(list(run))
+        if dominating:
+            p, q = (X - (s - 1)) * p - s * q, (X + (s + 1)) * q + s * p
+            minus_ones += s - 1
+        else:
+            p, q = X * p, X * q + s * p
+            zeros += s - 1
+    if zeros + minus_ones + p.degree != len(sequence):
+        raise StructureViolation(f"factored charpoly has degree != {len(sequence)}")
+    return FactoredPoly(zeros, minus_ones, p)
 
 
 @functools.lru_cache(maxsize=100_000)
 def tsub_charpolys(steps: tuple[int, ...]) -> tuple[FactoredPoly, FactoredPoly]:
     """(charpoly of T, charpoly of T joined with one vertex), factored."""
-    seq = StepSequence(steps)
-    a = tsub_adjacency(seq)
-    return charpoly_via_modules(a), charpoly_via_modules(cone(a))
+    sequence = creation_sequence(StepSequence(steps))
+    return charpoly_via_modules(sequence), charpoly_via_modules(sequence + [True])
 
 
 def _product(c: int, x_power: int, f: FactoredPoly, g: FactoredPoly) -> FactoredPoly:

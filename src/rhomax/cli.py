@@ -2,7 +2,8 @@
 
 Subcommands: params, build, enumerate, certify, table, classify, oracle,
 selfcheck.  Exit codes: 0 success, 2 verification failure (a mathematical
-event: a certified inequality did not hold), 1 operational error.
+event: a certified inequality did not hold), 1 operational error (usage
+errors included).
 
 Configuration precedence is flags > environment variables (prefix
 ``RHOMAX_``) > JSON config file (``--config``).
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -107,16 +109,28 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def cmd_build(args) -> int:
+def _family_graph(args) -> gr.ThresholdGraph:
+    """The graph of order --n and surplus --e named by --family."""
     if args.family == "D":
-        g = gr.build_D(args.n, args.e)
-    elif args.family == "V":
-        g = gr.build_V(args.n, args.e)
-    else:
-        if args.steps is None:
-            print("build tsub requires --steps", file=sys.stderr)
-            return EXIT_OPERATIONAL
-        g = gr.ThresholdGraph(args.n, gr.StepSequence(parse_steps(args.steps)))
+        return gr.build_D(args.n, args.e)
+    if args.family == "V":
+        return gr.build_V(args.n, args.e)
+    if args.steps is None:
+        raise ValueError("family tsub requires --steps")
+    return gr.ThresholdGraph(args.n, gr.StepSequence(parse_steps(args.steps)))
+
+
+def _omega_str(e: int, width: Fraction) -> str:
+    """omega_e as an exact fraction, or as an enclosure of the given width."""
+    omega = cp.omega_value(e)
+    if omega.exact is not None:
+        return _frac_str(omega.exact)
+    iv = omega.enclose(width)
+    return f"[{_decimal(iv.lo)}, {_decimal(iv.hi)}]"
+
+
+def cmd_build(args) -> int:
+    g = _family_graph(args)
     dense = gr.adjacency(g)
     out = {
         "n": g.n,
@@ -155,6 +169,15 @@ def cmd_certify(args, cfg_file: dict) -> int:
     jobs = _resolve(args.jobs, "jobs", cfg_file, 1, int)
     out_dir = _resolve(args.out, "out_dir", cfg_file, "certificates")
     resume = parse_steps(args.resume_after) if args.resume_after else None
+    # the cursor applies to the first certified e: never replace that e's
+    # certificates with the tail of its stream
+    first = next((e for e in range(e_lo, e_hi + 1)
+                  if e >= 4 and gr.edge_params(e).t), 0)
+    path = os.path.join(out_dir, _certificate_filename(first))
+    if resume is not None and first and os.path.exists(path):
+        print(f"error: {path} exists; a resumed run would overwrite it "
+              f"with the tail of S*_{first}", file=sys.stderr)
+        return EXIT_OPERATIONAL
     os.makedirs(out_dir, exist_ok=True)
 
     index_entries = []
@@ -176,9 +199,7 @@ def cmd_certify(args, cfg_file: dict) -> int:
             for cert in ct.certify_all(e, resume_after=resume, jobs=jobs):
                 if args.timing:
                     elapsed = int((time.monotonic() - t0) * 1000)
-                    cert = ct.Certificate(cert.e, cert.steps, cert.d_branch,
-                                          cert.v_branch, cert.n_U, cert.n_L,
-                                          cert.coverage, elapsed)
+                    cert = dataclasses.replace(cert, wall_ms=elapsed)
                 certs.append(cert)
                 now = time.monotonic()
                 if now - last_report >= 5.0:
@@ -222,19 +243,13 @@ def _table_rows(e_lo: int, e_hi: int, enclosure_width: Fraction):
     for e in range(e_lo, e_hi + 1):
         p = gr.edge_params(e)
         psi = cp.psi_value(e)
-        omega = cp.omega_value(e)
         regime = "t=0(closed form)" if p.t == 0 else "t>=1"
         psi_iv = psi.refined(enclosure_width).interval
-        if omega.exact is not None:
-            omega_s = _frac_str(omega.exact)
-        else:
-            iv = omega.enclose(enclosure_width)
-            omega_s = f"[{_decimal(iv.lo)}, {_decimal(iv.hi)}]"
         yield {
             "e": e, "k": p.k, "t": p.t, "b": p.b,
             "psi": _decimal(psi_iv.mid),
             "psi_cubic": list(cp.psi_poly(e).coeffs),
-            "omega": omega_s,
+            "omega": _omega_str(e, enclosure_width),
             "regime": regime,
         }
 
@@ -267,31 +282,16 @@ def cmd_classify(args) -> int:
     if e > cp.PROVEN_E_MAX:
         print(f"WARNING: e={e} is beyond the proven range "
               f"(<= {cp.PROVEN_E_MAX}); verdict is extrapolated")
-    omega = cp.omega_value(e)
-    if omega.exact is not None:
-        omega_s = _frac_str(omega.exact)
-    else:
-        iv = omega.enclose(Fraction(1, 10**9))
-        omega_s = f"[{_decimal(iv.lo)}, {_decimal(iv.hi)}]"
     p = gr.edge_params(e)
     print(verdict.verdict)
-    print(f"  n={n} e={e} k={p.k} t={p.t} b={p.b} omega={omega_s}")
+    print(f"  n={n} e={e} k={p.k} t={p.t} b={p.b} "
+          f"omega={_omega_str(e, Fraction(1, 10**9))}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     if args.kind == "rho":
-        steps = gr.StepSequence(parse_steps(args.steps)) if args.steps else None
-        if args.family == "D":
-            g = gr.build_D(args.n, args.e)
-        elif args.family == "V":
-            g = gr.build_V(args.n, args.e)
-        else:
-            if steps is None:
-                print("oracle rho with family=tsub requires --steps",
-                      file=sys.stderr)
-                return EXIT_OPERATIONAL
-            g = gr.ThresholdGraph(args.n, steps)
+        g = _family_graph(args)
         pd = orc.spectral_radius(gr.adjacency(g))
         print(json.dumps({"n": g.n, "e": g.e, "rho": pd.rho}))
         return EXIT_OK
@@ -415,8 +415,16 @@ def cmd_selfcheck(args) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: 2 means a certified inequality failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_OPERATIONAL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rhomax",
         description="Exact certification of spectral-radius maximizers.")
     ap.add_argument("--config", help="JSON config file (lowest precedence)")

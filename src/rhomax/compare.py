@@ -89,12 +89,6 @@ class OmegaValue:
         iv = xp.eval_ratfun(num, den, self.psi, eps)
         return RationalInterval(self.e + 2 + iv.lo, self.e + 2 + iv.hi)
 
-    def __float__(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        iv = self.enclose(Fraction(1, 10**12))
-        return float(iv.mid)
-
 
 def omega_value(e: int) -> OmegaValue:
     psi = psi_value(e)

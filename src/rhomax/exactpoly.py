@@ -16,8 +16,6 @@ from math import gcd as _int_gcd
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     PoleAtPoint,
     RefinementBudgetExceeded,
@@ -596,27 +594,22 @@ def charpoly(a: Sequence[Sequence[int]]) -> IntPoly:
     """det(lambda*I - A) for a square integer matrix, exactly.
 
     Faddeev-LeVerrier recurrence; all divisions are exact over the
-    integers.  The matrix products run on NumPy arrays of Python ints
-    (dtype object), so entries never overflow.
+    integers.  It costs O(n^4) and serves as the independent dense
+    reference for the threshold charpolys of certify.
     """
-    n = len(a)
     A = [[int(x) for x in row] for row in a]
-    for row in A:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return ONE
-    A = np.array(A, dtype=object)
-    M = np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
-    diag = np.diag_indices(n)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    M = [[0] * n for _ in range(n)]
+    coeffs = [0] * n + [1]
     c = 1
     for k in range(1, n + 1):
-        if k > 1:
-            M[diag] += c
-        M = A.dot(M)
-        tr = sum(M.diagonal().tolist())
+        for i in range(n):
+            M[i][i] += c
+        cols = list(zip(*M))
+        M = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
+        tr = sum(M[i][i] for i in range(n))
         if tr % k:
             raise StructureViolation(
                 f"Faddeev-LeVerrier trace {tr} not divisible by {k}")

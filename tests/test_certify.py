@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from rhomax import certify as ct
@@ -95,16 +96,72 @@ def _dense(a):
     return xp.charpoly(a.astype(int).tolist())
 
 
+def _twin_class_charpoly(a):
+    """Reference: the factored charpoly of a stepwise matrix from its twin
+    classes and the dense charpoly of their quotient matrix.
+
+    Twin vertices of a stepwise matrix (identical rows off the two
+    diagonal positions) are consecutive; a class of size s is a clique or
+    an independent set and contributes s-1 eigenvalues -1 or 0."""
+    n = a.shape[0]
+    m = a.astype(np.int64)
+    i = np.arange(n - 1)
+    differ = m[:-1] != m[1:]
+    differ[i, i] = differ[i, i + 1] = False
+    starts = [0] + [int(j) + 1 for j in np.flatnonzero(differ.any(axis=1))]
+    link = np.diagonal(m, 1)
+    zeros = minus_ones = 0
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        if hi - lo < 2:
+            continue
+        assert len(set(link[lo:hi - 1].tolist())) == 1, "mixed twin class"
+        if link[lo]:
+            minus_ones += hi - lo - 1
+        else:
+            zeros += hi - lo - 1
+    r = xp.charpoly(np.add.reduceat(m[starts], starts, axis=1).tolist())
+    return ct.FactoredPoly(zeros, minus_ones, r)
+
+
+def _graph_sequence(g):
+    """Creation sequence of a whole threshold graph: its T-subgraph, then
+    the pendants, then the dominating vertex 0."""
+    return ct.creation_sequence(g.steps) + [False] * (g.n - g.steps[0] - 2) + [True]
+
+
+def _charpoly_cases():
+    """Every step sequence with e <= 30, and seeded members of S*_40 and
+    of S_130."""
+    cases = [s for e in range(1, 31) for s in te.enumerate_S(e)]
+    rng = random.Random(7)
+    cases += rng.sample(list(te.enumerate_S_star(40)), 40)
+    cases += [_random_member(rng, 130, rng.randint(16, 129)) for _ in range(12)]
+    return cases
+
+
 class TestCharpolyViaModules:
+    def test_creation_sequence_of_a_star(self):
+        # K_1,4: four isolated vertices, then the centre
+        assert ct.creation_sequence(StepSequence((4,))) == [False] * 4 + [True]
+
+    def test_matches_twin_class_reference(self):
+        for steps in _charpoly_cases():
+            a = gr.tsub_adjacency(steps)
+            p_t, p_t1 = ct.tsub_charpolys(steps.steps)
+            assert p_t == _twin_class_charpoly(a), steps.steps
+            assert p_t1 == _twin_class_charpoly(gr.cone(a)), steps.steps
+
     def test_agrees_with_dense_on_threshold_graphs(self):
         rng = random.Random(11)
         for _ in range(15):
             e = rng.randint(1, 12)
-            seqs = list(te.enumerate_S(e))
-            steps = rng.choice(seqs)
+            steps = rng.choice(list(te.enumerate_S(e)))
             n = steps[0] + 2 + rng.randint(0, 3)
-            a = gr.adjacency(gr.ThresholdGraph(n, steps)).a
-            assert ct.charpoly_via_modules(a).expand() == _dense(a)
+            g = gr.ThresholdGraph(n, steps)
+            a = gr.adjacency(g).a
+            f = ct.charpoly_via_modules(_graph_sequence(g))
+            assert f == _twin_class_charpoly(a), (n, steps.steps)
+            assert f.expand() == _dense(a), (n, steps.steps)
 
     def test_tsub_and_cone_agree_with_dense(self):
         for e in range(1, 11):
@@ -116,9 +173,9 @@ class TestCharpolyViaModules:
 
     def test_factors_are_the_trivial_eigenvalues(self):
         # K_1,4 has eigenvalue 0 three times; K_5 has -1 four times
-        star = ct.charpoly_via_modules(gr.tsub_adjacency(StepSequence((4,))))
+        star = ct.charpoly_via_modules(ct.creation_sequence(StepSequence((4,))))
         assert star.a == 3 and star.b == 0 and star.r == IntPoly([-4, 0, 1])
-        clique = ct.charpoly_via_modules(gr.tsub_adjacency(StepSequence((4, 3, 2, 1))))
+        clique = ct.charpoly_via_modules(ct.creation_sequence(StepSequence((4, 3, 2, 1))))
         assert clique.a == 0 and clique.b == 4 and clique.r == IntPoly([-4, 1])
 
 

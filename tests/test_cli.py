@@ -38,6 +38,11 @@ class TestBuild:
         assert code == 1
         assert "error" in err
 
+    def test_tsub_without_steps_is_operational_error(self, capsys):
+        code, _, err = run(["build", "tsub", "--n", "6"], capsys)
+        assert code == 1
+        assert "requires --steps" in err
+
 
 class TestEnumerate:
     def test_star(self, capsys):
@@ -105,10 +110,39 @@ class TestCertify:
         assert entry["status"] == "partial"
         assert entry["count"] == 8 and entry["expected"] == 16
 
+    def test_resume_refuses_to_overwrite(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "d")
+        assert run(["certify", "--e", "13", "--out", out_dir], capsys)[0] == 0
+        names = ("certs_e013.json", "index.json")
+        before = [open(os.path.join(out_dir, f), "rb").read() for f in names]
+        code, _, err = run(["certify", "--e", "13", "--out", out_dir,
+                            "--resume-after", "9,4"], capsys)
+        assert code == 1
+        assert "certs_e013.json" in err
+        assert [open(os.path.join(out_dir, f), "rb").read()
+                for f in names] == before
+
     def test_refine_budget_is_not_an_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--e", "5", "--refine-budget", "8",
                       "--out", str(tmp_path)])
+        assert exc.value.code == 1
+
+
+class TestUsage:
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+
+    def test_unknown_flag_exits_one(self):
+        src = os.path.dirname(os.path.dirname(rhomax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run(
+            [sys.executable, "-m", "rhomax.cli", "certify", "--bogus"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "error:" in res.stderr
 
 
 class TestTable:

@@ -121,8 +121,6 @@ def _divide_common(*fs: FactoredPoly) -> list[IntPoly]:
     """Each of fs divided by the largest x^alpha (x+1)^beta that divides
     all of them.  The quotients have the same roots as fs above 0."""
     live = [f for f in fs if not f.r.is_zero]
-    if not live:
-        return [IntPoly() for _ in fs]
     alpha = min(f.a for f in live)
     beta = min(f.b for f in live)
     return [FactoredPoly(f.a - alpha, f.b - beta, f.r).expand()
@@ -151,7 +149,7 @@ def rho_of_threshold(steps: StepSequence, n: int) -> AlgebraicReal:
     return root
 
 
-# -- comparison polynomial and closed forms ------------------------------
+# -- comparison polynomial and family links ------------------------------
 
 
 def q_poly(g1_steps: StepSequence, g2_steps: StepSequence) -> IntPoly:
@@ -171,51 +169,28 @@ def q_poly(g1_steps: StepSequence, g2_steps: StepSequence) -> IntPoly:
     return terms[0] + terms[1] + terms[2]
 
 
-def d_cubic(e: int) -> IntPoly:
-    """Cubic whose largest root is the spectral radius of the cone over
-    the near-clique T-subgraph."""
-    p = edge_params(e)
-    k, t = p.k, p.t
-    return IntPoly([(t + 1) * (k - t - 1), -(k + t + 1), -(k - 1), 1])
-
-
+@functools.lru_cache(maxsize=256)
 def r_D_closed_form(e: int) -> tuple[IntPoly, IntPoly]:
-    """Closed-form numerator/denominator of the link function for the
-    near-clique family (valid for t >= 1)."""
-    p = edge_params(e)
-    if p.t == 0:
-        raise InvalidRegime("closed form requires t >= 1")
-    k, t = p.k, p.t
-    num = X * (X + 1) * d_cubic(e)
-    den = IntPoly([t * (k - t - 1), -(k + t - 1), -(k - 2), 1])
-    return num, den
+    """Link function of the near-clique family: generic_r_poly of its
+    T-subgraph, built once per e."""
+    return generic_r_poly(d_step_sequence(e))
 
 
-def v_quadratic(e: int) -> IntPoly:
-    return IntPoly([-2 * e, -1, 1])
+@functools.lru_cache(maxsize=256)
+def r_V_closed_form(e: int) -> tuple[IntPoly, IntPoly]:
+    """Link function of the star-like family: generic_r_poly of its
+    T-subgraph, built once per e."""
+    return generic_r_poly(StepSequence((e,)))
 
 
 @functools.lru_cache(maxsize=256)
 def family_bounds(e: int) -> tuple[AlgebraicReal, AlgebraicReal]:
     """(rho_t1d, rho_t1v): the spectral radii of the cones over the
-    near-clique and the star T-subgraph.  Every candidate with surplus e
-    compares its roots against these two, so they are isolated once per e."""
-    rho_t1d = xp.kth_largest_root(d_cubic(e), 1)
-    if rho_t1d is None:
-        raise StructureViolation(f"near-clique cone cubic has no real root at e={e}")
-    rho_t1v = xp.kth_largest_root(v_quadratic(e), 1)
-    if rho_t1v is None:
-        raise StructureViolation(f"star cone quadratic has no real root at e={e}")
-    return rho_t1d, rho_t1v
-
-
-def r_V_closed_form(e: int) -> tuple[IntPoly, IntPoly]:
-    """Closed-form link function for the star-like family."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    num = X * (X + 1) * v_quadratic(e)
-    den = IntPoly([-e, 0, 1])
-    return num, den
+    near-clique and the star T-subgraph, the family graphs of least order.
+    Every candidate with surplus e compares its roots against these two,
+    so they are isolated once per e."""
+    return tuple(rho_of_threshold(s, s[0] + 2)
+                 for s in (d_step_sequence(e), StepSequence((e,))))
 
 
 # -- certificates --------------------------------------------------------

@@ -94,6 +94,7 @@ def _decimal(q: Fraction, places: int = 12) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(data)
@@ -178,7 +179,6 @@ def cmd_certify(args, cfg_file: dict) -> int:
         print(f"error: {path} exists; a resumed run would overwrite it "
               f"with the tail of S*_{first}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    os.makedirs(out_dir, exist_ok=True)
 
     index_entries = []
     any_failure = False
@@ -192,11 +192,13 @@ def cmd_certify(args, cfg_file: dict) -> int:
             print(f"e={e}: t=0: covered by closed form (Bell)")
             index_entries.append({"e": e, "status": "covered_by_closed_form"})
             continue
+        # the cursor only applies to the first certified e, pass or fail
+        cursor, resume = resume, None
         certs = []
         t0 = time.monotonic()
         last_report = t0
         try:
-            for cert in ct.certify_all(e, resume_after=resume, jobs=jobs):
+            for cert in ct.certify_all(e, resume_after=cursor, jobs=jobs):
                 if args.timing:
                     elapsed = int((time.monotonic() - t0) * 1000)
                     cert = dataclasses.replace(cert, wall_ms=elapsed)
@@ -215,7 +217,6 @@ def cmd_certify(args, cfg_file: dict) -> int:
             index_entries.append({"e": e, "status": "fail",
                                   "step": exc.step, "detail": exc.detail})
             continue
-        resume = None  # the cursor only applies to the first certified e
         fname = _certificate_filename(e)
         payload = {
             "e": e,

@@ -52,11 +52,15 @@ def enumerate_S(e: int, resume_after: Optional[Sequence[int]] = None
     """All step sequences with surplus e, lexicographically decreasing.
 
     With resume_after set, emits only the sequences strictly after it in
-    enumeration order.
+    enumeration order; it must itself be a step sequence with surplus e.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
     cursor = tuple(resume_after) if resume_after is not None else None
+    if cursor is not None and (sum(cursor) != e or min(cursor) < 1 or any(
+            a <= b for a, b in zip(cursor, cursor[1:]))):
+        raise ValueError(f"cursor {cursor} is not a step sequence of e={e}: its "
+                         f"parts must be positive, strictly decreasing and sum to {e}")
     for seq in _gen(e, e, (), cursor):
         yield StepSequence(seq)
 

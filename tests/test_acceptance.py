@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import paper_links
 from conftest import ACCEPTANCE_LINES
 from rhomax import certify as ct
 from rhomax import compare as cp
@@ -174,15 +175,23 @@ def test_criterion_9_link_function_law():
             points = [hi + Fraction(i, 7) for i in range(21)]
             values = [Fraction(num(q), den(q)) for q in points]
             assert all(a < b for a, b in zip(values, values[1:]))
-        # closed forms match the generic construction as exact polynomial
-        # identities: x * P_T1 * den_cf == num_cf * P_T up to the x-power
-        # carried by the generic charpolys
-        for e in range(4, 31):
-            p = gr.edge_params(e)
-            if p.t >= 1:
-                num_cf, den_cf = ct.r_D_closed_form(e)
-                num_g, den_g = ct.generic_r_poly(gr.d_step_sequence(e))
-                assert num_g * den_cf == num_cf * den_g, f"D identity e={e}"
-            num_cf, den_cf = ct.r_V_closed_form(e)
+        # the paper's closed forms are the links the creation sequence
+        # gives the two families: V's coefficient for coefficient, D's as
+        # rational functions, and coefficient for coefficient unless
+        # t = k - 1, where the closed form keeps one common factor x
+        for e in range(4, 131):
+            num_cf, den_cf = paper_links.r_V(e)
             num_g, den_g = ct.generic_r_poly(gr.StepSequence((e,)))
-            assert num_g * den_cf == num_cf * den_g, f"V identity e={e}"
+            assert (num_g, den_g) == (num_cf, den_cf), f"V identity e={e}"
+            assert ct.r_V_closed_form(e) == (num_g, den_g)
+            p = gr.edge_params(e)
+            if p.t == 0:
+                continue
+            num_cf, den_cf = paper_links.r_D(e)
+            num_g, den_g = ct.generic_r_poly(gr.d_step_sequence(e))
+            assert num_g * den_cf == num_cf * den_g, f"D identity e={e}"
+            assert ct.r_D_closed_form(e) == (num_g, den_g)
+            if p.t == p.k - 1:
+                assert (num_cf, den_cf) == (X * num_g, X * den_g), f"D e={e}"
+            else:
+                assert (num_g, den_g) == (num_cf, den_cf), f"D e={e}"

@@ -16,6 +16,8 @@ from rhomax.errors import Degenerate, InvalidRegime, OrderTooSmall
 from rhomax.exactpoly import IntPoly, X
 from rhomax.graphs import StepSequence
 
+import paper_links
+
 
 class TestQPoly:
     def test_identical_inputs_vanish(self):
@@ -33,13 +35,23 @@ class TestQPoly:
 
 
 class TestClosedForms:
+    """The family links and bounds come from the creation sequence; the
+    paper's closed forms (tests/paper_links.py) are the reference."""
+
     def test_r_d_e5(self):
+        # t = k - 1: the paper's form carries one more common factor x
         num, den = ct.r_D_closed_form(5)
-        assert num == X * (X + 1) * IntPoly([0, -6, -2, 1])
-        assert den == IntPoly([0, -4, -1, 1])
+        assert num == X * (X + 1) * IntPoly([-6, -2, 1])
+        assert den == IntPoly([-4, -1, 1])
+        num_cf, den_cf = paper_links.r_D(5)
+        assert (num_cf, den_cf) == (X * num, X * den)
 
     def test_d_cubic_e7(self):
-        assert ct.d_cubic(7) == IntPoly([4, -6, -3, 1])
+        cubic = IntPoly([4, -6, -3, 1])
+        assert paper_links.d_cubic(7) == cubic
+        assert ct.r_D_closed_form(7) == paper_links.r_D(7)
+        root = xp.kth_largest_root(cubic, 1)
+        assert xp.compare(ct.family_bounds(7)[0], root) == 0
 
     def test_r_d_degree_bookkeeping(self):
         # num/den ~ lambda^2 at large argument
@@ -50,13 +62,20 @@ class TestClosedForms:
             ratio = num(big) / den(big)
             assert abs(ratio / big**2 - 1) < Fraction(1, 100)
 
-    def test_r_d_t0_rejected(self):
-        with pytest.raises(InvalidRegime):
-            ct.r_D_closed_form(10)
+    def test_r_d_t0_matches_numeric(self):
+        # the link needs no t >= 1 guard: at e = 10 the T-subgraph is K_5
+        num, den = ct.r_D_closed_form(10)
+        b = gr.edge_params(10).b
+        for n in (b, b + 3):
+            r = xp.kth_largest_root(num - (n - b) * den, 1)
+            r = r.refined(Fraction(1, 10**9))
+            rho = orc.spectral_radius(gr.adjacency(gr.build_D(n, 10)),
+                                      tol=1e-12).rho
+            assert abs(float(r.interval.mid) - rho) < 1e-8
 
     def test_r_v_e4_root_matches_numeric(self):
         # largest root of x^2 - x - 8 is (1+sqrt(33))/2 = rho(K_2 join 4K_1)
-        r = xp.kth_largest_root(ct.v_quadratic(4) - 0, 1)
+        r = ct.family_bounds(4)[1]
         numeric = orc.spectral_radius(gr.adjacency(gr.build_V(6, 4))).rho
         r = r.refined(Fraction(1, 10**9))
         assert abs(float(r.interval.mid) - numeric) < 1e-8
@@ -66,6 +85,15 @@ class TestClosedForms:
         num, den = ct.r_V_closed_form(10)
         assert num(8) / den(8) == 48
         assert num(0) == 0
+
+    def test_family_bounds_are_the_paper_roots(self):
+        for e in range(4, 131):
+            rho_t1d, rho_t1v = ct.family_bounds(e)
+            v = xp.kth_largest_root(paper_links.v_quadratic(e), 1)
+            assert xp.compare(rho_t1v, v) == 0, f"e={e}"
+            if gr.edge_params(e).t >= 1:
+                d = xp.kth_largest_root(paper_links.d_cubic(e), 1)
+                assert xp.compare(rho_t1d, d) == 0, f"e={e}"
 
 
 class TestRhoOfThreshold:
@@ -84,7 +112,7 @@ class TestRhoOfThreshold:
         # cone polynomial itself
         e = 5
         r = ct.rho_of_threshold(StepSequence((e,)), e + 2)
-        s = xp.kth_largest_root(ct.v_quadratic(e), 1)
+        s = xp.kth_largest_root(paper_links.v_quadratic(e), 1)
         assert xp.compare(r, s) == 0
 
     def test_order_too_small(self):

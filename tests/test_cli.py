@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import rhomax
+from rhomax import certify as ct
 from rhomax import cli
 from rhomax import compare as cp
+from rhomax.errors import VerificationFailed
 
 
 def run(argv, capsys):
@@ -59,6 +61,14 @@ class TestEnumerate:
         code, out, _ = run(["enumerate", "--e", "7", "--resume-after", "5,2"],
                            capsys)
         assert [json.loads(x) for x in out.splitlines()] == [[4, 3], [4, 2, 1]]
+
+    @pytest.mark.parametrize("cursor", ["9,9", "5,2,0", "4,2"])
+    def test_cursor_of_another_e_rejected(self, cursor, capsys):
+        code, out, err = run(["enumerate", "--e", "7", "--resume-after", cursor],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert "not a step sequence of e=7" in err
 
 
 class TestCertify:
@@ -121,6 +131,36 @@ class TestCertify:
         assert "certs_e013.json" in err
         assert [open(os.path.join(out_dir, f), "rb").read()
                 for f in names] == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("cursor", ["6,1", "5,5,3"])
+    def test_cursor_of_another_e_rejected(self, tmp_path, capsys, cursor, jobs):
+        out_dir = tmp_path / "d"
+        code, out, err = run(["certify", "--e", "13", "--out", str(out_dir),
+                              "--jobs", jobs, "--resume-after", cursor], capsys)
+        assert code == 1
+        assert "not a step sequence of e=13" in err
+        assert "certified" not in out
+        assert not out_dir.exists()
+
+    def test_cursor_cleared_after_failed_e(self, tmp_path, capsys, monkeypatch):
+        certify_candidate = ct.certify_candidate
+
+        def fail_at_7(e, steps):
+            if e == 7:
+                raise VerificationFailed(7, "injected")
+            return certify_candidate(e, steps)
+
+        monkeypatch.setattr(ct, "certify_candidate", fail_at_7)
+        out_dir = str(tmp_path / "d")
+        code, _, _ = run(["certify", "--e", "7..8", "--out", out_dir,
+                          "--resume-after", "6,1"], capsys)
+        assert code == 2
+        index = json.loads(open(os.path.join(out_dir, "index.json")).read())
+        by_e = {x["e"]: x for x in index["entries"]}
+        assert by_e[7]["status"] == "fail"
+        assert by_e[8]["status"] == "pass"
+        assert by_e[8]["count"] == by_e[8]["expected"] == 4
 
     def test_refine_budget_is_not_an_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

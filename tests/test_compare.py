@@ -50,6 +50,15 @@ class TestPsiValue:
             assert xp.compare_with_rational(cp.psi_value(e), p.k + 1) > 0
 
 
+    def test_is_largest_root_of_the_family_comparison(self):
+        # compare's hand-expanded cubic and certify's links agree: psi is
+        # where the near-clique and star-like families swap
+        for e in range(4, 131):
+            q = ct.q_poly(gr.d_step_sequence(e), gr.StepSequence((e,)))
+            root = xp.kth_largest_root(q, 1)
+            assert xp.compare(cp.psi_value(e), root) == 0, f"e={e}"
+
+
 class TestOmegaValue:
     def test_e10_is_60(self):
         assert cp.omega_value(10).exact == 60

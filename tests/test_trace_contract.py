@@ -1,0 +1,44 @@
+"""The names perfbench's per-layer trace wraps exist in the package.
+
+perfbench (outside the package) swaps module attributes for timing
+wrappers and counts step-7 rounds by the identity of the near-clique link
+numerator.  Building its kernel-side instruments here makes a renamed or
+dropped attribute fail this suite instead of the next traced run.
+"""
+
+import importlib.util
+from itertools import islice
+from pathlib import Path
+
+from rhomax import certify as ct
+from rhomax import tsubenum as te
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_trace_counts_one_step7_round_per_split_candidate():
+    spans, layers = _load("spans"), _load("layers")
+    # every Split certificate at e = 40 takes exactly one refinement round
+    candidates = list(islice(te.enumerate_S_star(40), 30))
+    original = ct.certify_candidate
+    tracer = spans.Tracer("trace-contract")
+    try:
+        instruments = layers.Instruments(tracer, "kernel")
+        assert ct.certify_candidate is not original
+        certs = [ct.certify_candidate(40, s) for s in candidates]
+    finally:
+        tracer.restore()
+    assert ct.certify_candidate is original
+    assert all(c.coverage == ct.COVER_SPLIT for c in certs)
+    assert instruments.rounds == len(candidates)
+    metrics = instruments.metrics(tracer.totals(), {"info": {}, "wall_s": 0.0})
+    assert metrics["certify.certify_candidate.calls"] == len(candidates)
+    assert metrics["certify.step7_rounds_per_cand"] == 1.0

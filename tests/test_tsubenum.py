@@ -92,6 +92,13 @@ class TestResume:
             rest = steps_of(te.enumerate_S(12, full[i]))
             assert rest == full[i + 1:]
 
+    @pytest.mark.parametrize("cursor", [(6, 1), (5, 5, 3), (14, -1), (13, 0), ()])
+    def test_cursor_must_be_step_sequence_of_e(self, cursor):
+        with pytest.raises(ValueError, match="not a step sequence of e=13"):
+            list(te.enumerate_S(13, cursor))
+        with pytest.raises(ValueError, match="not a step sequence of e=13"):
+            list(te.enumerate_S_star(13, cursor))
+
     def test_blocks_partition_the_stream(self):
         e = 15
         full = steps_of(te.enumerate_S(e))

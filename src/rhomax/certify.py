@@ -205,7 +205,6 @@ class Certificate:
     n_U: Optional[RationalInterval]
     n_L: Optional[RationalInterval]
     coverage: str
-    wall_ms: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +215,8 @@ class Certificate:
             "n_U": self.n_U.to_dict() if self.n_U else None,
             "n_L": self.n_L.to_dict() if self.n_L else None,
             "coverage": self.coverage,
-            "wall_ms": self.wall_ms,
+            # kept until the shard format, so certificate bytes change once
+            "wall_ms": 0,
         }
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -85,7 +84,7 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _decimal(q: Fraction, places: int = 12) -> str:
+def _decimal(q: Fraction, places: int) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10**places) // q.denominator
@@ -121,13 +120,14 @@ def _family_graph(args) -> gr.ThresholdGraph:
     return gr.ThresholdGraph(args.n, gr.StepSequence(parse_steps(args.steps)))
 
 
-def _omega_str(e: int, width: Fraction) -> str:
-    """omega_e as an exact fraction, or as an enclosure of the given width."""
+def _omega_str(e: int, width: Fraction, places: int) -> str:
+    """omega_e as an exact fraction, or as an enclosure of the given width
+    printed with the given number of decimals."""
     omega = cp.omega_value(e)
     if omega.exact is not None:
         return _frac_str(omega.exact)
     iv = omega.enclose(width)
-    return f"[{_decimal(iv.lo)}, {_decimal(iv.hi)}]"
+    return f"[{_decimal(iv.lo, places)}, {_decimal(iv.hi, places)}]"
 
 
 def cmd_build(args) -> int:
@@ -175,7 +175,11 @@ def cmd_certify(args, cfg_file: dict) -> int:
     first = next((e for e in range(e_lo, e_hi + 1)
                   if e >= 4 and gr.edge_params(e).t), 0)
     path = os.path.join(out_dir, _certificate_filename(first))
-    if resume is not None and first and os.path.exists(path):
+    if resume is not None and not first:
+        print(f"error: --e {args.e} holds no certified e for "
+              f"--resume-after to apply to", file=sys.stderr)
+        return EXIT_OPERATIONAL
+    if resume is not None and os.path.exists(path):
         print(f"error: {path} exists; a resumed run would overwrite it "
               f"with the tail of S*_{first}", file=sys.stderr)
         return EXIT_OPERATIONAL
@@ -199,9 +203,6 @@ def cmd_certify(args, cfg_file: dict) -> int:
         last_report = t0
         try:
             for cert in ct.certify_all(e, resume_after=cursor, jobs=jobs):
-                if args.timing:
-                    elapsed = int((time.monotonic() - t0) * 1000)
-                    cert = dataclasses.replace(cert, wall_ms=elapsed)
                 certs.append(cert)
                 now = time.monotonic()
                 if now - last_report >= 5.0:
@@ -240,17 +241,18 @@ def cmd_certify(args, cfg_file: dict) -> int:
     return EXIT_VERIFICATION if any_failure else EXIT_OK
 
 
-def _table_rows(e_lo: int, e_hi: int, enclosure_width: Fraction):
+def _table_rows(e_lo: int, e_hi: int, places: int):
+    width = Fraction(1, 10**places)
     for e in range(e_lo, e_hi + 1):
         p = gr.edge_params(e)
         psi = cp.psi_value(e)
         regime = "t=0(closed form)" if p.t == 0 else "t>=1"
-        psi_iv = psi.refined(enclosure_width).interval
+        psi_iv = psi.refined(width).interval
         yield {
             "e": e, "k": p.k, "t": p.t, "b": p.b,
-            "psi": _decimal(psi_iv.mid),
+            "psi": _decimal(psi_iv.mid, places),
             "psi_cubic": list(cp.psi_poly(e).coeffs),
-            "omega": _omega_str(e, enclosure_width),
+            "omega": _omega_str(e, width, places),
             "regime": regime,
         }
 
@@ -261,8 +263,7 @@ def cmd_table(args, cfg_file: dict) -> int:
         print("table requires e >= 4", file=sys.stderr)
         return EXIT_OPERATIONAL
     fmt = _resolve(args.format, "format", cfg_file, "json")
-    width = Fraction(1, 10**args.places)
-    rows = list(_table_rows(e_lo, e_hi, width))
+    rows = list(_table_rows(e_lo, e_hi, args.places))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
@@ -286,7 +287,7 @@ def cmd_classify(args) -> int:
     p = gr.edge_params(e)
     print(verdict.verdict)
     print(f"  n={n} e={e} k={p.k} t={p.t} b={p.b} "
-          f"omega={_omega_str(e, Fraction(1, 10**9))}")
+          f"omega={_omega_str(e, Fraction(1, 10**9), 12)}")
     return EXIT_OK
 
 
@@ -307,6 +308,10 @@ def cmd_oracle(args) -> int:
 
 
 # -- selfcheck -----------------------------------------------------------
+# Each suite runs the library's own checks, which raise on a violated
+# invariant, or compares the pipeline with an independent reference: the
+# DP count, the dense Faddeev-LeVerrier charpoly, the t = 0 closed form
+# and LAPACK eigenvalues.
 
 
 def _check(ok: bool, what: str) -> None:
@@ -315,89 +320,61 @@ def _check(ok: bool, what: str) -> None:
         raise StructureViolation(what)
 
 
-def _suite_graphs() -> None:
-    for e in range(1, 40):
-        p = gr.edge_params(e)
-        _check(p.k * (p.k - 1) // 2 <= e < (p.k + 1) * p.k // 2, f"e={e}: k out of range")
-        _check(p.t == e - p.k * (p.k - 1) // 2, f"e={e}: t != e - C(k,2)")
-        d = gr.d_step_sequence(e)
-        _check(d.e == e, f"e={e}: near-clique steps do not sum to e")
-        g = gr.adjacency(gr.build_D(p.b + 3, e))
-        _check(gr.is_stepwise(g.a), f"e={e}: D adjacency not stepwise")
-        _check(g.size == p.b + 3 - 1 + e, f"e={e}: D has the wrong size")
-        degs = g.degree_sequence()
-        _check(all(x >= y for x, y in zip(degs, degs[1:])),
-               f"e={e}: D degrees not non-increasing")
-
-
-def _suite_exactpoly() -> None:
-    p = xp.IntPoly([-2, 0, 1])  # x^2 - 2
-    r = xp.kth_largest_root(p, 1)
-    _check(r is not None, "x^2 - 2 has no largest root")
-    iv = r.refined(Fraction(1, 10**6)).interval
-    _check(iv.width <= Fraction(1, 10**6) and iv.lo ** 2 <= 2 <= iv.hi ** 2,
-           "refined sqrt(2) enclosure wrong")
-    _check(xp.sign_at_root(xp.IntPoly([0, 1]), r) > 0, "sqrt(2) not positive")
-    _check(xp.count_real_roots(p) == 2, "x^2 - 2 does not have two real roots")
-    a = xp.IntPoly([1, 2, 1])
-    _check(xp.squarefree_part(a) == xp.IntPoly([1, 1]), "squarefree part of (x+1)^2")
-    cp_ = xp.charpoly([[0, 1], [1, 0]])
-    _check(cp_ == xp.IntPoly([-1, 0, 1]), "charpoly of K2")
-
-
 def _suite_tsubenum() -> None:
     for e in range(1, 25):
-        seqs = list(te.enumerate_S(e))
-        _check(len(seqs) == te.count_S(e), f"e={e}: enumeration != count_S")
-        _check(all(s.e == e for s in seqs), f"e={e}: sequence with wrong surplus")
-        keys = [s.steps for s in seqs]
-        _check(keys == sorted(keys, reverse=True), f"e={e}: enumeration out of order")
-        if len(seqs) > 2:
-            mid = seqs[len(seqs) // 2]
-            rest = [s.steps for s in te.enumerate_S(e, mid.steps)]
-            _check(rest == keys[keys.index(mid.steps) + 1:],
-                   f"e={e}: resume does not continue after the cursor")
+        n = sum(1 for _ in te.enumerate_S(e))
+        _check(n == te.count_S(e), f"e={e}: {n} sequences, not count_S(e)")
+
+
+def _suite_kernel() -> None:
+    """Creation-sequence charpolys against the dense reference."""
+    for e in range(1, 13):
+        for steps in te.enumerate_S(e):
+            a = gr.tsub_adjacency(steps)
+            p_t, p_t1 = ct.tsub_charpolys(steps.steps)
+            _check(p_t.expand() == xp.charpoly(a)
+                   and p_t1.expand() == xp.charpoly(gr.cone(a)),
+                   f"charpolys of {steps.steps} differ from the dense ones")
 
 
 def _suite_certify() -> None:
-    for e in (5, 7, 8, 9, 11):
-        for cert in ct.certify_all(e):
-            _check(cert.coverage in (ct.COVER_ALL_N, ct.COVER_SPLIT),
-                   f"e={e}: {cert.steps.steps} has coverage {cert.coverage}")
+    for e in range(4, 21):
+        if gr.edge_params(e).t:
+            n = sum(1 for _ in ct.certify_all(e))
+            _check(n == te.count_S(e) - 2, f"e={e}: {n} certificates")
 
 
 def _suite_compare() -> None:
-    for e in range(4, 30):
-        poly = cp.psi_poly(e)
-        _check(poly.leading > 0, f"e={e}: psi cubic not positive-leading")
-        p = gr.edge_params(e)
-        _check(xp.sign_at(poly, p.k + 1) < 0, f"e={e}: psi cubic not negative at k+1")
-        psi = cp.psi_value(e)
-        _check(xp.compare_with_rational(psi, p.k + 1) > 0, f"e={e}: psi <= k+1")
+    for e in range(4, cp.PROVEN_E_MAX + 1):
         cp.psi_root_structure(e)
-    _check(cp.omega_value(10).exact == 60, "omega_10 != 60")
+        p = gr.edge_params(e)
+        if p.t == 0:
+            _check(cp.omega_value(e).exact == cp.bell_f(p.k),
+                   f"e={e}: omega differs from the closed form")
     _check(cp.classify(60, 10).verdict == cp.TIE, "(60, 10) is not a tie")
+    _check(cp.corollary_range_check(86, 350).all_pass,
+           "large-surplus range check failed")
 
 
 def _suite_oracle() -> None:
-    import math
-    pd = orc.spectral_radius(gr.adjacency(gr.build_V(6, 0)))
-    _check(abs(pd.rho - math.sqrt(5)) < 1e-8, "rho(K_{1,5}) != sqrt(5)")
-    r = ct.rho_of_threshold(gr.d_step_sequence(5), 8).refined(Fraction(1, 10**9))
-    num = orc.spectral_radius(gr.adjacency(gr.build_D(8, 5)), tol=1e-12).rho
-    _check(abs(float(r.interval.mid) - num) < 1e-7, "exact and numeric rho(D(8,5)) differ")
+    for e in range(1, 11):
+        for steps in te.enumerate_S(e):
+            for n in range(steps[0] + 2, e + 7):
+                exact = ct.rho_of_threshold(steps, n).refined(Fraction(1, 10**9))
+                g = gr.adjacency(gr.ThresholdGraph(n, steps))
+                numeric = orc.spectral_radius(g).rho
+                _check(abs(float(exact.interval.mid) - numeric) <= 1e-7,
+                       f"exact and numeric rho differ for {steps.steps} at n={n}")
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck() -> int:
     suites = [
-        ("graphs", _suite_graphs),
-        ("exactpoly", _suite_exactpoly),
         ("tsubenum", _suite_tsubenum),
+        ("kernel", _suite_kernel),
         ("certify", _suite_certify),
         ("compare", _suite_compare),
+        ("oracle", _suite_oracle),
     ]
-    if not args.skip_oracle:
-        suites.append(("oracle", _suite_oracle))
     failures = []
     for name, fn in suites:
         t0 = time.monotonic()
@@ -453,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None, help="certificate directory")
     p.add_argument("--resume-after", help="cursor for the first e in range")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock ms in certificates "
-                        "(breaks byte determinism across job counts)")
 
     p = sub.add_parser("table", help="crossover table over a range")
     p.add_argument("--e", required=True)
@@ -475,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["D", "V", "tsub"], default="D")
     p.add_argument("--steps")
 
-    p = sub.add_parser("selfcheck", help="run all module invariant suites")
-    p.add_argument("--skip-oracle", action="store_true",
-                   help="certified suites only")
+    sub.add_parser("selfcheck",
+                   help="run the library's checks against independent references")
 
     return ap
 
@@ -501,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args)
         if args.command == "selfcheck":
-            return cmd_selfcheck(args)
+            return cmd_selfcheck()
         raise AssertionError("unreachable")
     except VerificationFailed as exc:
         print(f"verification failure at step {exc.step}: {exc.detail}",

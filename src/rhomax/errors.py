@@ -58,9 +58,5 @@ class NotConnected(RhomaxError):
     pass
 
 
-class NoConvergence(RhomaxError):
-    pass
-
-
 class BudgetExceeded(RhomaxError):
-    """Brute-force search space larger than the configured budget."""
+    """Brute-force search space larger than oracle.BUDGET."""

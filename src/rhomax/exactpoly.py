@@ -461,14 +461,6 @@ def roots_at_or_above(p: IntPoly, bound: AlgebraicReal) -> Iterator[AlgebraicRea
         yield r
 
 
-def count_real_roots(p: IntPoly) -> int:
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    b = cauchy_bound(sf)
-    return sturm_count(sf, RationalInterval(-b, b))
-
-
 # -- comparison ---------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Independent numeric and brute-force ground truth.
 
 Nothing here feeds the certified pipeline; it exists to cross-check it:
-power-iteration spectral radii, Perron vectors, and exhaustive
-maximization over every connected graph at tiny orders.
+spectral radii and Perron vectors from LAPACK's dense symmetric
+eigensolver, and exhaustive maximization over every connected graph at
+tiny orders.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, NoConvergence, NotConnected
+from .errors import BudgetExceeded, NotConnected
 from .graphs import DenseGraph, adjacency, build_D, build_V, edge_params, graph6
 
 
@@ -37,30 +38,14 @@ def _is_connected(a: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def spectral_radius(g: DenseGraph, tol: float = 1e-10,
-                    max_iter: int = 10**6) -> PerronData:
-    """Power iteration with a deterministic all-ones start.
-
-    Iterates on A + I so the dominant eigenvalue is strictly separated
-    even for bipartite graphs; the Perron vector is unchanged.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = g.a.astype(np.float64)
-    n = g.n
-    if n == 1:
-        return PerronData(0.0, np.ones(1))
+def spectral_radius(g: DenseGraph) -> PerronData:
+    """Largest adjacency eigenvalue and its unit eigenvector, with the
+    sign fixed so that the Perron vector is positive."""
     if not _is_connected(g.a):
         raise NotConnected("spectral_radius requires a connected graph")
-    v = np.ones(n) / np.sqrt(n)
-    for _ in range(max_iter):
-        w = a @ v + v
-        v = w / np.linalg.norm(w)
-        av = a @ v
-        rho = float(v @ av)
-        if np.max(np.abs(av - rho * v)) <= tol:
-            return PerronData(rho, v)
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    w, v = np.linalg.eigh(g.a.astype(np.float64))
+    y = v[:, -1]
+    return PerronData(float(w[-1]), y if y.sum() > 0 else -y)
 
 
 def perron_ratios_D(n: int, e: int) -> tuple[float, float, float]:
@@ -69,7 +54,7 @@ def perron_ratios_D(n: int, e: int) -> tuple[float, float, float]:
     p = edge_params(e)
     if p.t == 0:
         raise ValueError("requires t >= 1")
-    pd = spectral_radius(adjacency(build_D(n, e)), tol=1e-12)
+    pd = spectral_radius(adjacency(build_D(n, e)))
     y = pd.vector
     return (float(y[1] / y[0]), float(y[p.k] / y[0]), float(y[p.k + 1] / y[0]))
 
@@ -119,6 +104,11 @@ def is_isomorphic(g1: DenseGraph, g2: DenseGraph) -> bool:
     return _iso_backtrack(g1.a, g2.a)
 
 
+# edge subsets a brute-force search may visit, and per eigvalsh batch
+BUDGET = 40_000_000
+CHUNK = 200_000
+
+
 @dataclass(frozen=True)
 class BruteResult:
     n: int
@@ -138,8 +128,7 @@ class BruteResult:
                 "argmax_unique_iso": self.argmax_unique_iso}
 
 
-def brute_force_max(n: int, e: int, budget: int = 40_000_000,
-                    chunk: int = 200_000) -> BruteResult:
+def brute_force_max(n: int, e: int) -> BruteResult:
     """Exhaustive spectral-radius maximization over all connected graphs
     of order n and size n - 1 + e.
 
@@ -152,19 +141,19 @@ def brute_force_max(n: int, e: int, budget: int = 40_000_000,
     m = n - 1 + e
     npairs = comb(n, 2)
     total = comb(npairs, m)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    if total > BUDGET:
+        raise BudgetExceeded(f"{total} subsets exceed budget {BUDGET}")
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
 
     # a known member of the class seeds the pruning threshold
-    seed = spectral_radius(adjacency(build_D(n, e)), tol=1e-12).rho
+    seed = spectral_radius(adjacency(build_D(n, e))).rho
     margin = 1e-7
     best = seed - margin
     survivors: list[tuple[float, np.ndarray]] = []
 
     it = itertools.combinations(range(npairs), m)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, CHUNK))
         if not block:
             break
         idx = np.array(block, dtype=np.int64)

@@ -75,10 +75,8 @@ def test_criterion_3_crossover_e4():
         assert cp.classify(24, 4).verdict == cp.D_UNIQUE
         assert cp.classify(25, 4).verdict == cp.V_UNIQUE
         for n, expect_d in ((24, True), (25, False)):
-            rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, 4)),
-                                        tol=1e-12).rho
-            rho_v = orc.spectral_radius(gr.adjacency(gr.build_V(n, 4)),
-                                        tol=1e-12).rho
+            rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, 4))).rho
+            rho_v = orc.spectral_radius(gr.adjacency(gr.build_V(n, 4))).rho
             margin = rho_d - rho_v if expect_d else rho_v - rho_d
             assert margin > 1e-9
 
@@ -100,8 +98,7 @@ def test_criterion_5_exact_vs_numeric_rho():
                     exact = ct.rho_of_threshold(steps, n)
                     exact = exact.refined(Fraction(1, 10**9))
                     numeric = orc.spectral_radius(
-                        gr.adjacency(gr.ThresholdGraph(n, steps)),
-                        tol=1e-12).rho
+                        gr.adjacency(gr.ThresholdGraph(n, steps))).rho
                     assert abs(float(exact.interval.mid) - numeric) <= 1e-7, \
                         f"e={e} steps={steps.steps} n={n}"
 
@@ -133,8 +130,7 @@ def test_criterion_7_perron_ratios():
             p = gr.edge_params(e)
             k, t = p.k, p.t
             for n in (p.b, p.b + 3):
-                g = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)),
-                                        tol=1e-12).rho
+                g = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
                 den = (g * (g + 1) * (g - k + t + 1)
                        - t * (g * (g + 2) - k + t + 1))
                 expect = ((g * (g + 2) - k + t + 1) / den,

@@ -69,8 +69,7 @@ class TestClosedForms:
         for n in (b, b + 3):
             r = xp.kth_largest_root(num - (n - b) * den, 1)
             r = r.refined(Fraction(1, 10**9))
-            rho = orc.spectral_radius(gr.adjacency(gr.build_D(n, 10)),
-                                      tol=1e-12).rho
+            rho = orc.spectral_radius(gr.adjacency(gr.build_D(n, 10))).rho
             assert abs(float(r.interval.mid) - rho) < 1e-8
 
     def test_r_v_e4_root_matches_numeric(self):
@@ -99,12 +98,12 @@ class TestClosedForms:
 class TestRhoOfThreshold:
     def test_matches_numeric_v(self):
         r = ct.rho_of_threshold(StepSequence((4,)), 10).refined(Fraction(1, 10**9))
-        num = orc.spectral_radius(gr.adjacency(gr.build_V(10, 4)), tol=1e-12).rho
+        num = orc.spectral_radius(gr.adjacency(gr.build_V(10, 4))).rho
         assert abs(float(r.interval.mid) - num) < 1e-8
 
     def test_matches_numeric_d(self):
         r = ct.rho_of_threshold(StepSequence((3, 1)), 6).refined(Fraction(1, 10**9))
-        num = orc.spectral_radius(gr.adjacency(gr.build_D(6, 4)), tol=1e-12).rho
+        num = orc.spectral_radius(gr.adjacency(gr.build_D(6, 4))).rho
         assert abs(float(r.interval.mid) - num) < 1e-8
 
     def test_minimal_order_star(self):
@@ -301,14 +300,12 @@ class TestCertifyCandidate:
         ct.certify_candidate(e, StepSequence(steps))
         for n in n_range:
             rho_c = orc.spectral_radius(
-                gr.adjacency(gr.ThresholdGraph(n, StepSequence(steps))),
-                tol=1e-12).rho
-            rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)),
-                                        tol=1e-12).rho
+                gr.adjacency(gr.ThresholdGraph(n, StepSequence(steps)))).rho
+            rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
             best = rho_d
             if n >= e + 2:
                 best = max(best, orc.spectral_radius(
-                    gr.adjacency(gr.build_V(n, e)), tol=1e-12).rho)
+                    gr.adjacency(gr.build_V(n, e))).rho)
             assert rho_c < best - 1e-9
 
 
@@ -335,14 +332,12 @@ class TestCertifyAll:
                 if n < cert.steps[0] + 2:
                     continue
                 rho_c = orc.spectral_radius(
-                    gr.adjacency(gr.ThresholdGraph(n, cert.steps)),
-                    tol=1e-12).rho
-                rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, 8)),
-                                            tol=1e-12).rho
+                    gr.adjacency(gr.ThresholdGraph(n, cert.steps))).rho
+                rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, 8))).rho
                 best = rho_d
                 if n >= 10:
                     best = max(best, orc.spectral_radius(
-                        gr.adjacency(gr.build_V(n, 8)), tol=1e-12).rho)
+                        gr.adjacency(gr.build_V(n, 8))).rho)
                 assert rho_c < best - 1e-9
 
     def test_parallel_matches_serial(self):

@@ -168,6 +168,23 @@ class TestCertify:
                       "--out", str(tmp_path)])
         assert exc.value.code == 1
 
+    def test_timing_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--e", "5", "--timing",
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("cursor", ["9,9", "6"])
+    def test_resume_without_certified_e_rejected(self, tmp_path, capsys,
+                                                 cursor):
+        out_dir = tmp_path / "d"
+        code, out, err = run(["certify", "--e", "6", "--out", str(out_dir),
+                              "--resume-after", cursor], capsys)
+        assert code == 1
+        assert "no certified e" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestUsage:
     def test_help_exits_zero(self, capsys):
@@ -186,6 +203,14 @@ class TestUsage:
 
 
 class TestTable:
+    def test_places(self, capsys):
+        code, out, _ = run(["table", "--e", "4..6", "--places", "2"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["psi"] for r in rows] == ["5.09", "6.52", "9.00"]
+        assert [r["omega"] for r in rows] == \
+            ["[24.24, 24.24]", "[41.11, 41.12]", "80/1"]
+
     def test_csv(self, capsys):
         code, out, _ = run(["table", "--e", "4..10", "--format", "csv"], capsys)
         assert code == 0
@@ -244,7 +269,7 @@ class TestOracleCmd:
 
 class TestSelfcheck:
     def test_passes(self, capsys):
-        code, out, _ = run(["selfcheck", "--skip-oracle"], capsys)
+        code, out, _ = run(["selfcheck"], capsys)
         assert code == 0
         assert "all suites passed" in out
 
@@ -252,7 +277,7 @@ class TestSelfcheck:
         src = os.path.dirname(os.path.dirname(rhomax.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run(
-            [sys.executable, "-O", "-m", "rhomax.cli", "selfcheck", "--skip-oracle"],
+            [sys.executable, "-O", "-m", "rhomax.cli", "selfcheck"],
             env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all suites passed" in res.stdout
@@ -261,6 +286,25 @@ class TestSelfcheck:
         omega = cp.omega_value(10)
         monkeypatch.setattr(cp, "omega_value",
                             lambda e: cp.OmegaValue(e, omega.psi, omega.exact + 1))
-        code, out, _ = run(["selfcheck", "--skip-oracle"], capsys)
+        code, out, _ = run(["selfcheck"], capsys)
         assert code == 2
         assert "[FAIL] compare" in out and "all suites passed" not in out
+
+    def test_broken_kernel_fails(self, capsys, monkeypatch):
+        tsub_charpolys = ct.tsub_charpolys
+
+        def wrong_cone(steps):
+            p_t, p_t1 = tsub_charpolys(steps)
+            return p_t, p_t1._replace(r=p_t1.r + 1)
+
+        monkeypatch.setattr(ct, "tsub_charpolys", wrong_cone)
+        try:
+            code, out, _ = run(["selfcheck"], capsys)
+        finally:
+            # the per-e links and bounds built from the broken kernel are
+            # cached; later tests must not see them
+            for cached in (ct.r_D_closed_form, ct.r_V_closed_form,
+                           ct.family_bounds):
+                cached.cache_clear()
+        assert code == 2
+        assert "[FAIL] kernel" in out and "all suites passed" not in out

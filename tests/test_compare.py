@@ -104,13 +104,11 @@ class TestClassify:
             p = gr.edge_params(e)
             for n in range(p.b, e + 13):
                 verdict = cp.classify(n, e).verdict
-                rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)),
-                                            tol=1e-12).rho
+                rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
                 if n < e + 2:
                     assert verdict == cp.D_UNIQUE
                     continue
-                rho_v = orc.spectral_radius(gr.adjacency(gr.build_V(n, e)),
-                                            tol=1e-12).rho
+                rho_v = orc.spectral_radius(gr.adjacency(gr.build_V(n, e))).rho
                 if verdict == cp.D_UNIQUE:
                     assert rho_d > rho_v + 1e-9
                 elif verdict == cp.V_UNIQUE:
@@ -207,16 +205,14 @@ class TestEigenEquationResiduals:
         for e, n in ((5, 8), (7, 10), (8, 9)):
             p = gr.edge_params(e)
             num, den = ct.r_D_closed_form(e)
-            gamma = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)),
-                                        tol=1e-12).rho
+            gamma = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
             val = _evalf(num, gamma) - (n - p.k - 2) * _evalf(den, gamma)
             scale = max(1.0, gamma) ** num.degree
             assert abs(val) / scale < 1e-7
 
     def test_v_family_residual(self):
         for e, n in ((4, 8), (6, 10), (10, 14)):
-            chi = orc.spectral_radius(gr.adjacency(gr.build_V(n, e)),
-                                      tol=1e-12).rho
+            chi = orc.spectral_radius(gr.adjacency(gr.build_V(n, e))).rho
             val = (chi * (chi + 1) * (chi**2 - chi - 2 * e)
                    - (n - e - 2) * (chi**2 - e))
             assert abs(val) / max(1.0, chi) ** 4 < 1e-7

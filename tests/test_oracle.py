@@ -33,9 +33,19 @@ class TestSpectralRadius:
 
     def test_residual_invariant(self):
         g = gr.adjacency(gr.build_D(9, 7))
-        pd = orc.spectral_radius(g, tol=1e-10)
+        pd = orc.spectral_radius(g)
         a = g.a.astype(float)
         assert np.max(np.abs(a @ pd.vector - pd.rho * pd.vector)) < 1e-9
+
+    def test_perron_vector_positive_unit_norm(self):
+        graphs = [gr.DenseGraph(1, np.zeros((1, 1), dtype=np.int8))]
+        graphs += [gr.adjacency(gr.build_D(n, e)) for n, e in ((5, 4), (9, 7))]
+        graphs += [gr.adjacency(gr.build_V(n, e)) for n, e in ((6, 0), (8, 4))]
+        for g in graphs:
+            v = orc.spectral_radius(g).vector
+            assert v.shape == (g.n,)
+            assert np.all(v > 0)
+            assert abs(np.linalg.norm(v) - 1) < 1e-12
 
     def test_perron_entries_weakly_decreasing_on_stepwise(self):
         rng = random.Random(2)
@@ -44,7 +54,7 @@ class TestSpectralRadius:
             steps = rng.choice(list(te.enumerate_S(e)))
             n = steps[0] + 2 + rng.randint(0, 4)
             g = gr.adjacency(gr.ThresholdGraph(n, steps))
-            v = orc.spectral_radius(g, tol=1e-12).vector
+            v = orc.spectral_radius(g).vector
             assert all(x >= y - 1e-9 for x, y in zip(v, v[1:]))
 
 
@@ -52,15 +62,14 @@ class TestPerronRatiosD:
     def test_pendant_eigen_equation(self):
         # the pendant entry satisfies gamma * y_n = y_1 when pendants exist
         for e, n in ((5, 8), (7, 10)):
-            pd = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)), tol=1e-12)
+            pd = orc.spectral_radius(gr.adjacency(gr.build_D(n, e)))
             assert abs(pd.rho * pd.vector[-1] - pd.vector[0]) < 1e-7
 
     def test_v_family_z_identities(self):
         # (chi + 1) z_2 = z_1 + z_2 + e z_3 on the star-like family
         for e in range(4, 11):
             for n in (e + 2, e + 5):
-                pd = orc.spectral_radius(gr.adjacency(gr.build_V(n, e)),
-                                         tol=1e-12)
+                pd = orc.spectral_radius(gr.adjacency(gr.build_V(n, e)))
                 chi, z = pd.rho, pd.vector
                 assert abs((chi + 1) * z[1] - (z[0] + z[1] + e * z[2])) < 1e-7
 
@@ -102,7 +111,7 @@ class TestBruteForce:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            orc.brute_force_max(9, 10, budget=1000)
+            orc.brute_force_max(9, 10)
 
 
 def _from_graph6(s: str) -> gr.DenseGraph:

@@ -20,6 +20,7 @@ from .errors import (
     Degenerate,
     InvalidRegime,
     OrderTooSmall,
+    RefinementBudgetExceeded,
     StructureViolation,
     VerificationFailed,
 )
@@ -275,19 +276,26 @@ def certify_candidate(e: int, steps: StepSequence) -> Certificate:
     # step (7): no integer order escapes both certified regions ----------
     num_d, den_d = r_D_closed_form(e)
     num_v, den_v = r_V_closed_form(e)
+    # each round asks for enclosures 16 times narrower, until the gap is
+    # certified, both are exact, or eval_ratfun spends its bisection budget
     eps = Fraction(1, 16)
-    for _ in range(xp.DEFAULT_REFINE_BUDGET):
-        ivu = xp.eval_ratfun(num_d, den_d, n_u_root, eps)
-        n_u = RationalInterval(p.b + ivu.lo, p.b + ivu.hi)
-        if n_l_root is None:
-            # the star family wins for every order where it exists
-            n_l = RationalInterval(Fraction(e + 1), Fraction(e + 1))
-        else:
-            ivl = xp.eval_ratfun(num_v, den_v, n_l_root, eps)
-            n_l = RationalInterval(e + 2 + ivl.lo, e + 2 + ivl.hi)
-        if _no_integer_between(n_u.lo, n_l.hi):
-            return Certificate(e, steps, d_branch, v_branch, n_u, n_l, COVER_SPLIT)
-        eps /= 16
+    try:
+        while True:
+            ivu = xp.eval_ratfun(num_d, den_d, n_u_root, eps)
+            n_u = RationalInterval(p.b + ivu.lo, p.b + ivu.hi)
+            if n_l_root is None:
+                # the star family wins for every order where it exists
+                n_l = RationalInterval(Fraction(e + 1), Fraction(e + 1))
+            else:
+                ivl = xp.eval_ratfun(num_v, den_v, n_l_root, eps)
+                n_l = RationalInterval(e + 2 + ivl.lo, e + 2 + ivl.hi)
+            if _no_integer_between(n_u.lo, n_l.hi):
+                return Certificate(e, steps, d_branch, v_branch, n_u, n_l, COVER_SPLIT)
+            if n_u.width == n_l.width == 0:
+                break
+            eps /= 16
+    except RefinementBudgetExceeded:
+        pass
     raise VerificationFailed(
         7, f"could not certify a gap between the two bounds for {steps.steps}")
 

@@ -4,9 +4,6 @@ Subcommands: params, build, enumerate, certify, table, classify, oracle,
 selfcheck.  Exit codes: 0 success, 2 verification failure (a mathematical
 event: a certified inequality did not hold), 1 operational error (usage
 errors included).
-
-Configuration precedence is flags > environment variables (prefix
-``RHOMAX_``) > JSON config file (``--config``).
 """
 
 from __future__ import annotations
@@ -33,32 +30,16 @@ EXIT_OK = 0
 EXIT_OPERATIONAL = 1
 EXIT_VERIFICATION = 2
 
-ENV_PREFIX = "RHOMAX_"
+
+# -- argument parsing ----------------------------------------------------
 
 
-# -- configuration -------------------------------------------------------
-
-
-def _load_config_file(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
-    return data
-
-
-def _resolve(flag_value, key: str, cfg_file: dict, default, cast=str):
-    """flags > RHOMAX_<KEY> env var > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_PREFIX + key.upper())
-    if env is not None:
-        return cast(env)
-    if key in cfg_file:
-        return cast(cfg_file[key])
-    return default
+def positive_int(text: str) -> int:
+    """argparse type of --jobs and --places: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def parse_e_range(text: str) -> tuple[int, int]:
@@ -165,16 +146,14 @@ def _certificate_filename(e: int) -> str:
     return f"certs_e{e:03d}.json"
 
 
-def cmd_certify(args, cfg_file: dict) -> int:
+def cmd_certify(args) -> int:
     e_lo, e_hi = parse_e_range(args.e)
-    jobs = _resolve(args.jobs, "jobs", cfg_file, 1, int)
-    out_dir = _resolve(args.out, "out_dir", cfg_file, "certificates")
     resume = parse_steps(args.resume_after) if args.resume_after else None
     # the cursor applies to the first certified e: never replace that e's
     # certificates with the tail of its stream
     first = next((e for e in range(e_lo, e_hi + 1)
                   if e >= 4 and gr.edge_params(e).t), 0)
-    path = os.path.join(out_dir, _certificate_filename(first))
+    path = os.path.join(args.out, _certificate_filename(first))
     if resume is not None and not first:
         print(f"error: --e {args.e} holds no certified e for "
               f"--resume-after to apply to", file=sys.stderr)
@@ -202,7 +181,7 @@ def cmd_certify(args, cfg_file: dict) -> int:
         t0 = time.monotonic()
         last_report = t0
         try:
-            for cert in ct.certify_all(e, resume_after=cursor, jobs=jobs):
+            for cert in ct.certify_all(e, resume_after=cursor, jobs=args.jobs):
                 certs.append(cert)
                 now = time.monotonic()
                 if now - last_report >= 5.0:
@@ -224,7 +203,7 @@ def cmd_certify(args, cfg_file: dict) -> int:
             "count": len(certs),
             "certificates": [c.to_dict() for c in certs],
         }
-        _atomic_write(os.path.join(out_dir, fname),
+        _atomic_write(os.path.join(args.out, fname),
                       json.dumps(payload, indent=1, sort_keys=True) + "\n")
         # a resumed run certifies only the tail of S*_e: not a pass
         expected = te.count_S(e) - 2
@@ -236,7 +215,7 @@ def cmd_certify(args, cfg_file: dict) -> int:
     all_pass = all(x["status"] not in ("fail", "partial") for x in index_entries)
     index = {"e_range": [e_lo, e_hi], "entries": index_entries,
              "all_pass": all_pass}
-    _atomic_write(os.path.join(out_dir, "index.json"),
+    _atomic_write(os.path.join(args.out, "index.json"),
                   json.dumps(index, indent=1, sort_keys=True) + "\n")
     return EXIT_VERIFICATION if any_failure else EXIT_OK
 
@@ -257,14 +236,13 @@ def _table_rows(e_lo: int, e_hi: int, places: int):
         }
 
 
-def cmd_table(args, cfg_file: dict) -> int:
+def cmd_table(args) -> int:
     e_lo, e_hi = parse_e_range(args.e)
     if e_lo < 4:
         print("table requires e >= 4", file=sys.stderr)
         return EXIT_OPERATIONAL
-    fmt = _resolve(args.format, "format", cfg_file, "json")
     rows = list(_table_rows(e_lo, e_hi, args.places))
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         w.writerow(["e", "k", "t", "b", "psi", "psi_cubic", "omega", "regime"])
@@ -367,7 +345,7 @@ def _suite_oracle() -> None:
                        f"exact and numeric rho differ for {steps.steps} at n={n}")
 
 
-def cmd_selfcheck() -> int:
+def cmd_selfcheck(args) -> int:
     suites = [
         ("tsubenum", _suite_tsubenum),
         ("kernel", _suite_kernel),
@@ -405,17 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="rhomax",
         description="Exact certification of spectral-radius maximizers.")
-    ap.add_argument("--config", help="JSON config file (lowest precedence)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="derived parameters of a surplus")
     p.add_argument("e", type=int)
+    p.set_defaults(run=cmd_params)
 
     p = sub.add_parser("build", help="build a graph and print its encoding")
     p.add_argument("family", choices=["D", "V", "tsub"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, default=0)
     p.add_argument("--steps", help="step sequence, e.g. '4,1' (tsub only)")
+    p.set_defaults(run=cmd_build)
 
     p = sub.add_parser("enumerate", help="stream candidate step sequences")
     p.add_argument("--e", type=int, required=True)
@@ -424,23 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume-after", help="cursor: last emitted sequence")
     p.add_argument("--count", action="store_true")
     p.add_argument("--limit", type=int, default=0)
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("certify", help="run the elimination over a range")
     p.add_argument("--e", required=True, help="range, e.g. 4..30 or 12")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", default=None, help="certificate directory")
+    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--out", default="certificates",
+                   help="certificate directory")
     p.add_argument("--resume-after", help="cursor for the first e in range")
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("table", help="crossover table over a range")
     p.add_argument("--e", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--places", type=int, default=12,
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--places", type=positive_int, default=12,
                    help="decimal places for enclosures")
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("classify", help="which family wins at (n, e)")
     p.add_argument("n", type=int)
     p.add_argument("e", type=int)
     p.add_argument("--unsafe-extrapolate", action="store_true")
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("oracle", help="numeric ground-truth checks")
     p.add_argument("kind", choices=["rho", "brute", "ratios"])
@@ -448,9 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--family", choices=["D", "V", "tsub"], default="D")
     p.add_argument("--steps")
+    p.set_defaults(run=cmd_oracle)
 
-    sub.add_parser("selfcheck",
-                   help="run the library's checks against independent references")
+    p = sub.add_parser(
+        "selfcheck",
+        help="run the library's checks against independent references")
+    p.set_defaults(run=cmd_selfcheck)
 
     return ap
 
@@ -458,24 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg_file = _load_config_file(args.config)
-        if args.command == "params":
-            return cmd_params(args)
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        if args.command == "certify":
-            return cmd_certify(args, cfg_file)
-        if args.command == "table":
-            return cmd_table(args, cfg_file)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "selfcheck":
-            return cmd_selfcheck()
-        raise AssertionError("unreachable")
+        return args.run(args)
     except VerificationFailed as exc:
         print(f"verification failure at step {exc.step}: {exc.detail}",
               file=sys.stderr)

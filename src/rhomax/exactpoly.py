@@ -23,9 +23,9 @@ from .errors import (
     ZeroPolynomial,
 )
 
-# bisection cap of every refinement loop; reaching it raises
-# RefinementBudgetExceeded rather than deciding
-DEFAULT_REFINE_BUDGET = 256
+# bisections narrowing() makes before it raises RefinementBudgetExceeded
+# rather than deciding
+_BISECTION_BUDGET = 256
 
 
 class IntPoly:
@@ -370,17 +370,22 @@ class AlgebraicReal:
             return AlgebraicReal(p, mid, hi)
         return AlgebraicReal(p, lo, mid)
 
-    def refined(self, width: Fraction) -> "AlgebraicReal":
+    def narrowing(self) -> Iterator["AlgebraicReal"]:
+        """self, then each bisection of it in turn.  Every refinement loop
+        iterates over this; once the bisection budget is spent without the
+        caller having stopped, it raises RefinementBudgetExceeded."""
         cur = self
-        steps = 0
-        while not cur.is_exact and cur.hi - cur.lo > width:
-            if steps >= DEFAULT_REFINE_BUDGET:
-                raise RefinementBudgetExceeded(
-                    f"could not reach width {width} in "
-                    f"{DEFAULT_REFINE_BUDGET} bisections")
+        yield cur
+        for _ in range(_BISECTION_BUDGET):
             cur = cur.bisected()
-            steps += 1
-        return cur
+            yield cur
+        raise RefinementBudgetExceeded(
+            f"no decision in {_BISECTION_BUDGET} bisections")
+
+    def refined(self, width: Fraction) -> "AlgebraicReal":
+        for cur in self.narrowing():
+            if cur.is_exact or cur.hi - cur.lo <= width:
+                return cur
 
     def to_dict(self) -> dict:
         return {
@@ -485,15 +490,12 @@ def sign_at_root(p: IntPoly, x: AlgebraicReal) -> int:
     if g.degree >= 1 and _roots_in(g, x.lo, x.hi) >= 1:
         # the unique root of defpoly in the interval is also a root of p
         return 0
-    cur = x
-    for _ in range(DEFAULT_REFINE_BUDGET):
+    for cur in x.narrowing():
         mn, mx = eval_interval(p, cur.lo, cur.hi)
         if mn > 0:
             return 1
         if mx < 0:
             return -1
-        cur = cur.bisected()
-    raise RefinementBudgetExceeded("sign_at_root did not separate from zero")
 
 
 def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
@@ -514,14 +516,11 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
         g = poly_gcd(a.defpoly, b.defpoly)
         if g.degree >= 1 and _roots_in(g, ilo, ihi) >= 1:
             return 0
-    ca, cb = a, b
-    for _ in range(DEFAULT_REFINE_BUDGET):
+    for ca, cb in zip(a.narrowing(), b.narrowing()):
         if ca.hi < cb.lo:
             return -1
         if cb.hi < ca.lo:
             return 1
-        ca, cb = ca.bisected(), cb.bisected()
-    raise RefinementBudgetExceeded("compare did not separate intervals")
 
 
 def compare_with_rational(a: AlgebraicReal, q: Fraction | int) -> int:
@@ -565,8 +564,7 @@ def eval_ratfun(num: IntPoly, den: IntPoly, x: AlgebraicReal,
         return RationalInterval(v, v)
     if sign_at_root(den, x) == 0:
         raise PoleAtPoint("denominator vanishes at the evaluation point")
-    cur = x
-    for _ in range(DEFAULT_REFINE_BUDGET):
+    for cur in x.narrowing():
         nlo, nhi = eval_interval(num, cur.lo, cur.hi)
         dlo, dhi = eval_interval(den, cur.lo, cur.hi)
         if dlo > 0 or dhi < 0:
@@ -574,9 +572,6 @@ def eval_ratfun(num: IntPoly, den: IntPoly, x: AlgebraicReal,
             lo, hi = min(cands), max(cands)
             if hi - lo <= eps:
                 return RationalInterval(lo, hi)
-        cur = cur.bisected()
-    raise RefinementBudgetExceeded(
-        f"could not enclose rational-function value to width {eps}")
 
 
 # -- characteristic polynomial ------------------------------------------

@@ -12,8 +12,13 @@ from rhomax import exactpoly as xp
 from rhomax import graphs as gr
 from rhomax import oracle as orc
 from rhomax import tsubenum as te
-from rhomax.errors import Degenerate, InvalidRegime, OrderTooSmall
-from rhomax.exactpoly import IntPoly, X
+from rhomax.errors import (
+    Degenerate,
+    InvalidRegime,
+    OrderTooSmall,
+    VerificationFailed,
+)
+from rhomax.exactpoly import IntPoly, RationalInterval, X
 from rhomax.graphs import StepSequence
 
 import paper_links
@@ -307,6 +312,33 @@ class TestCertifyCandidate:
                 best = max(best, orc.spectral_radius(
                     gr.adjacency(gr.build_V(n, e))).rho)
             assert rho_c < best - 1e-9
+
+
+class TestStep7:
+    def test_undecided_gap_fails_at_step_7(self, monkeypatch):
+        cert = ct.certify_candidate(7, StepSequence((6, 1)))
+        assert cert.coverage == ct.COVER_SPLIT
+        monkeypatch.setattr(ct, "_no_integer_between", lambda lo, hi: False)
+        with pytest.raises(VerificationFailed) as exc:
+            ct.certify_candidate(7, StepSequence((6, 1)))
+        assert exc.value.step == 7
+
+    def test_exact_enclosures_end_the_loop(self, monkeypatch):
+        # a narrower eps cannot change an exact enclosure: fail, not loop
+        calls = []
+
+        def exact(num, den, x, eps):
+            calls.append(eps)
+            if len(calls) > 10:
+                raise AssertionError("step 7 kept refining exact values")
+            return RationalInterval(Fraction(1), Fraction(1))
+
+        monkeypatch.setattr(ct, "_no_integer_between", lambda lo, hi: False)
+        monkeypatch.setattr(xp, "eval_ratfun", exact)
+        with pytest.raises(VerificationFailed) as exc:
+            ct.certify_candidate(7, StepSequence((6, 1)))
+        assert exc.value.step == 7
+        assert len(calls) == 1
 
 
 class TestCertifyAll:

@@ -1,5 +1,6 @@
 """Operator surface: subcommands, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,27 @@ class TestCertify:
                       "--out", str(tmp_path)])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--e", "5", "--jobs", jobs,
+                      "--out", str(out_dir)])
+        assert exc.value.code == 1
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_undecided_gap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ct, "_no_integer_between", lambda lo, hi: False)
+        code, _, err = run(["certify", "--e", "7", "--out", str(tmp_path)],
+                           capsys)
+        assert code == 2
+        assert "FAILED at step 7" in err
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert not index["all_pass"]
+        [entry] = index["entries"]
+        assert entry["status"] == "fail" and entry["step"] == 7
+
     @pytest.mark.parametrize("cursor", ["9,9", "6"])
     def test_resume_without_certified_e_rejected(self, tmp_path, capsys,
                                                  cursor):
@@ -211,6 +233,22 @@ class TestTable:
         assert [r["omega"] for r in rows] == \
             ["[24.24, 24.24]", "[41.11, 41.12]", "80/1"]
 
+    @pytest.mark.parametrize("places", ["0", "-1"])
+    def test_places_below_one_is_usage_error(self, places, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--e", "4", "--places", places])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--places: must be at least 1" in out.err
+
+    def test_places_12_digest(self, capsys):
+        code, out, _ = run(["table", "--e", "4..130", "--places", "12"],
+                           capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c5bc2862b0daa878a61c16648dafb2d5cb0a998130ba742bd0005765a15a10df")
+
     def test_csv(self, capsys):
         code, out, _ = run(["table", "--e", "4..10", "--format", "csv"], capsys)
         assert code == 0
@@ -244,19 +282,20 @@ class TestClassify:
         assert code == 0 and "beyond the proven range" in out
 
 
-class TestConfigPrecedence:
-    def test_env_overrides_file_flag_overrides_env(self, tmp_path, capsys,
-                                                   monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json"}))
+class TestFlagsOnly:
+    @pytest.mark.parametrize("argv", [
+        ["--config", "x", "table", "--e", "4"],
+        ["table", "--e", "4", "--config", "x"]])
+    def test_config_is_an_unknown_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+
+    def test_environment_sets_nothing(self, capsys, monkeypatch):
         monkeypatch.setenv("RHOMAX_FORMAT", "csv")
-        # env wins over file
-        _, out, _ = run(["--config", str(cfg), "table", "--e", "4"], capsys)
-        assert out.startswith("e,k,t,b")
-        # flag wins over env
-        _, out, _ = run(["--config", str(cfg), "table", "--e", "4",
-                         "--format", "json"], capsys)
-        assert out.lstrip().startswith("[")
+        code, out, _ = run(["table", "--e", "4"], capsys)
+        assert code == 0
+        assert [r["e"] for r in json.loads(out)] == [4]
 
 
 class TestOracleCmd:

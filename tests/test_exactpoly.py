@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rhomax import exactpoly as xp
 from rhomax import graphs as gr
 from rhomax import oracle as orc
+from rhomax.errors import RefinementBudgetExceeded
 from rhomax.exactpoly import AlgebraicReal, IntPoly, RationalInterval, X
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
@@ -148,6 +149,33 @@ class TestRootIsolation:
         found = [xp.kth_largest_root(p, k) for k in range(1, len(roots) + 1)]
         for f, r in zip(found, sorted(roots, reverse=True)):
             assert xp.compare_with_rational(f, r) == 0
+
+
+class TestNarrowing:
+    def test_self_then_each_bisection_then_budget(self):
+        sqrt2 = xp.kth_largest_root(IntPoly([-2, 0, 1]), 1)
+        seen = []
+        with pytest.raises(RefinementBudgetExceeded):
+            for cur in sqrt2.narrowing():
+                seen.append(cur)
+        # self and 256 bisections
+        assert len(seen) == 257
+        assert seen[0] == sqrt2
+        for a, b in zip(seen, seen[1:]):
+            assert b == a.bisected()
+
+    def test_refined_is_the_first_narrow_enough(self):
+        sqrt2 = xp.kth_largest_root(IntPoly([-2, 0, 1]), 1)
+        width = Fraction(1, 10**12)
+        first = next(c for c in sqrt2.narrowing() if c.hi - c.lo <= width)
+        assert sqrt2.refined(width) == first
+
+    def test_unreachable_width_raises(self):
+        sqrt2 = xp.kth_largest_root(IntPoly([-2, 0, 1]), 1)
+        with pytest.raises(RefinementBudgetExceeded):
+            sqrt2.refined(Fraction(0))
+        with pytest.raises(RefinementBudgetExceeded):
+            xp.eval_ratfun(X, IntPoly([1]), sqrt2, Fraction(0))
 
 
 def _bound(kind_and_value):

@@ -450,6 +450,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"verification failure at step {exc.step}: {exc.detail}",
               file=sys.stderr)
         return EXIT_VERIFICATION
+    except BrokenPipeError:
+        # the reader of stdout left early (`rhomax enumerate | head`), so
+        # nothing failed; fd 1 goes to /dev/null so that the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (RhomaxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
+from typing import Iterator
 
 import numpy as np
 
@@ -62,8 +63,9 @@ def perron_ratios_D(n: int, e: int) -> tuple[float, float, float]:
 # -- canonical forms and isomorphism at tiny scale -----------------------
 
 
-def _iso_backtrack(a: np.ndarray, b: np.ndarray) -> bool:
-    """Degree-pruned backtracking search for a vertex bijection."""
+def _isomorphisms(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Every vertex bijection carrying a onto b, found by degree-pruned
+    backtracking, as the tuple whose entry u is the image of vertex u."""
     n = a.shape[0]
     deg_a = a.sum(axis=0)
     deg_b = b.sum(axis=0)
@@ -71,27 +73,20 @@ def _iso_backtrack(a: np.ndarray, b: np.ndarray) -> bool:
     used = [False] * n
     mapping = [-1] * n
 
-    def extend(pos: int) -> bool:
+    def extend(pos: int) -> Iterator[tuple[int, ...]]:
         if pos == n:
-            return True
+            yield tuple(mapping)
+            return
         u = order[pos]
         for w in range(n):
             if used[w] or deg_a[u] != deg_b[w]:
                 continue
-            ok = True
-            for q in range(pos):
-                uq = order[q]
-                if a[u, uq] != b[w, mapping[uq]]:
-                    ok = False
-                    break
-            if ok:
+            if all(a[u, uq] == b[w, mapping[uq]] for uq in order[:pos]):
                 used[w] = True
                 mapping[u] = w
-                if extend(pos + 1):
-                    return True
+                yield from extend(pos + 1)
                 used[w] = False
                 mapping[u] = -1
-        return False
 
     return extend(0)
 
@@ -101,10 +96,62 @@ def is_isomorphic(g1: DenseGraph, g2: DenseGraph) -> bool:
         return False
     if sorted(g1.degree_sequence()) != sorted(g2.degree_sequence()):
         return False
-    return _iso_backtrack(g1.a, g2.a)
+    return next(_isomorphisms(g1.a, g2.a), None) is not None
 
 
-# edge subsets a brute-force search may visit, and per eigvalsh batch
+def _labelings(g: DenseGraph) -> int:
+    """Number of labeled graphs isomorphic to g: n! / |Aut(g)|."""
+    return factorial(g.n) // sum(1 for _ in _isomorphisms(g.a, g.a))
+
+
+# -- exhaustive search at tiny orders ------------------------------------
+
+
+def _degree_sequences(n: int, total: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing sequences of n integers in 1..hi that sum to total."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for d in range(min(hi, total - (n - 1)), 0, -1):
+        if d * n < total:
+            break
+        for rest in _degree_sequences(n - 1, total - d, d):
+            yield (d,) + rest
+
+
+def degree_ordered_graphs(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Every labeled graph of order n and size m whose degrees are all at
+    least 1 and do not increase with the vertex index, once each, as its
+    increasing tuple of indices into itertools.combinations(range(n), 2).
+
+    Every graph without isolated vertices has such a labeling.  For each
+    degree sequence, vertex i picks its remaining neighbours among the
+    later vertices that still need degree.
+    """
+    # index of the pair (i, j), i < j, is row[i] + j
+    row = [i * (n - 1) - i * (i - 1) // 2 - i - 1 for i in range(n)]
+
+    def attach(i: int, need: list[int],
+               edges: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield edges
+            return
+        later = [j for j in range(i + 1, n) if need[j]]
+        for nbrs in itertools.combinations(later, need[i]):
+            for j in nbrs:
+                need[j] -= 1
+            yield from attach(i + 1, need,
+                              edges + tuple(row[i] + j for j in nbrs))
+            for j in nbrs:
+                need[j] += 1
+
+    for degrees in _degree_sequences(n, 2 * m, n - 1):
+        yield from attach(0, list(degrees), ())
+
+
+# brute_force_max refuses an (n, e) with more edge subsets of size
+# n - 1 + e than this, though it visits far fewer; graphs per eigvalsh batch
 BUDGET = 40_000_000
 CHUNK = 200_000
 
@@ -132,15 +179,18 @@ def brute_force_max(n: int, e: int) -> BruteResult:
     """Exhaustive spectral-radius maximization over all connected graphs
     of order n and size n - 1 + e.
 
-    Streams edge subsets, computes the top adjacency eigenvalue for each
-    in vectorized batches, and checks connectivity only for subsets that
-    can still beat the best connected graph seen so far.
+    Searches only the labelings whose degrees do not increase with the
+    vertex index (degree_ordered_graphs).  Every graph has one, so the
+    maximizing isomorphism classes are those of all edge subsets.
+    Computes the top adjacency eigenvalue of each graph in vectorized
+    batches, and checks connectivity only for graphs that can still beat
+    the best connected graph seen so far.  n_argmax_labeled counts the
+    maximizers among all edge subsets: n!/|Aut| per maximizing class.
     """
     if n > 9:
         raise ValueError("brute force limited to n <= 9")
     m = n - 1 + e
-    npairs = comb(n, 2)
-    total = comb(npairs, m)
+    total = comb(comb(n, 2), m)
     if total > BUDGET:
         raise BudgetExceeded(f"{total} subsets exceed budget {BUDGET}")
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
@@ -149,9 +199,9 @@ def brute_force_max(n: int, e: int) -> BruteResult:
     seed = spectral_radius(adjacency(build_D(n, e))).rho
     margin = 1e-7
     best = seed - margin
-    survivors: list[tuple[float, np.ndarray]] = []
+    survivors: list[tuple[float, tuple[int, ...], np.ndarray]] = []
 
-    it = itertools.combinations(range(npairs), m)
+    it = degree_ordered_graphs(n, m)
     while True:
         block = list(itertools.islice(it, CHUNK))
         if not block:
@@ -168,20 +218,25 @@ def brute_force_max(n: int, e: int) -> BruteResult:
             a8 = mats[i].astype(np.int8)
             if _is_connected(a8):
                 rho = float(top[i])
-                survivors.append((rho, a8))
+                survivors.append((rho, block[i], a8))
                 if rho - margin > best:
                     best = rho - margin
 
     if not survivors:
         raise RuntimeError("search found no connected graph; seed inconsistent")
-    max_rho = max(r for r, _ in survivors)
-    argmax = [(r, a) for r, a in survivors if r >= max_rho - 1e-9]
-    witness = DenseGraph(n, argmax[0][1])
-    d_graph = adjacency(build_D(n, e))
-    is_d = is_isomorphic(witness, d_graph)
+    max_rho = max(r for r, _, _ in survivors)
+    # the witness is the maximizer with the lexicographically least edges
+    argmax = sorted(((edges, a) for r, edges, a in survivors
+                     if r >= max_rho - 1e-9), key=lambda x: x[0])
+    classes: list[DenseGraph] = []
+    for _, a in argmax:
+        g = DenseGraph(n, a)
+        if not any(is_isomorphic(g, c) for c in classes):
+            classes.append(g)
+    witness = classes[0]
+    is_d = is_isomorphic(witness, adjacency(build_D(n, e)))
     is_v = False
     if n >= e + 2:
         is_v = is_isomorphic(witness, adjacency(build_V(n, e)))
-    unique = all(is_isomorphic(DenseGraph(n, a), witness) for _, a in argmax[1:])
     return BruteResult(n, e, max_rho, graph6(witness), is_d, is_v,
-                       len(argmax), unique)
+                       sum(_labelings(c) for c in classes), len(classes) == 1)

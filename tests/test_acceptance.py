@@ -1,10 +1,11 @@
-"""Acceptance gate: the nine end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: the ten end-to-end criteria, one pass/fail line each.
 
 Each test appends its verdict line to the shared report printed at the end
 of the pytest run (see conftest.py).  A test that raises before reporting
 records a FAIL line via the `criterion` helper.
 """
 
+import math
 import random
 import time
 from collections import Counter
@@ -82,7 +83,7 @@ def test_criterion_3_crossover_e4():
 
 
 @pytest.mark.parametrize("n,e", [(5, 4), (6, 4), (6, 5), (7, 4), (7, 5),
-                                 (7, 6), (8, 4)])
+                                 (7, 6), (8, 4), (8, 5)])
 def test_criterion_4_brute_force(n, e):
     with criterion(4, f"brute force (n={n}, e={e}): unique max is near-clique"):
         res = orc.brute_force_max(n, e)
@@ -191,3 +192,24 @@ def test_criterion_9_link_function_law():
                 assert (num_cf, den_cf) == (X * num_g, X * den_g), f"D e={e}"
             else:
                 assert (num_g, den_g) == (num_cf, den_cf), f"D e={e}"
+
+
+def test_criterion_10_crossover_numerics():
+    with criterion(10, "crossover verdicts 4<=e<=130 match numerics"):
+        checked = 0
+        for e in range(4, 131):
+            omega = cp.omega_value(e)
+            if omega.exact is not None and omega.exact.denominator == 1:
+                continue  # omega_e is an integer order, where the two tie
+            eps = Fraction(1, 1024)
+            while math.floor((iv := omega.enclose(eps)).lo) != math.floor(iv.hi):
+                eps /= 1024
+            for n in (math.floor(iv.lo), math.ceil(iv.hi)):
+                rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
+                rho_v = orc.spectral_radius(gr.adjacency(gr.build_V(n, e))).rho
+                # far above round-off, so the float sign decides nothing
+                assert abs(rho_d - rho_v) > 1e-9, f"e={e} n={n}"
+                expect = cp.D_UNIQUE if rho_d > rho_v else cp.V_UNIQUE
+                assert cp.classify(n, e).verdict == expect, f"e={e} n={n}"
+                checked += 1
+        assert checked == 248

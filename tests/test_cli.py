@@ -1,5 +1,6 @@
 """Operator surface: subcommands, exit codes, artifacts, determinism."""
 
+import fcntl
 import hashlib
 import json
 import os
@@ -222,6 +223,29 @@ class TestUsage:
             env=env, capture_output=True, text=True, timeout=60)
         assert res.returncode == 1, res.stdout + res.stderr
         assert "error:" in res.stderr
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--e", "40"],
+                                      ["table", "--e", "4..130"]])
+    def test_reader_leaving_early_exits_zero(self, argv):
+        src = os.path.dirname(os.path.dirname(rhomax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        # a one-page pipe holds less than the output, so the command is
+        # still writing when the reader closes it after the first line
+        r, w = os.pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen([sys.executable, "-m", "rhomax.cli", *argv],
+                                stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(r, 1)
+            assert byte, "output ended before the first newline"
+            line += byte
+        os.close(r)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b""
 
 
 class TestTable:

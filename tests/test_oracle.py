@@ -1,11 +1,13 @@
 """Numeric and brute-force ground truth."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from brute_reference import all_subsets_max
 from rhomax import graphs as gr
 from rhomax import oracle as orc
 from rhomax import tsubenum as te
@@ -112,6 +114,45 @@ class TestBruteForce:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             orc.brute_force_max(9, 10)
+
+    @pytest.mark.parametrize("n,e", [(5, 4), (6, 3), (6, 4), (6, 5), (7, 0),
+                                     (7, 4)])
+    def test_matches_all_subsets_search(self, n, e):
+        got = orc.brute_force_max(n, e).to_dict()
+        want = all_subsets_max(n, e).to_dict()
+        assert abs(got.pop("max_rho") - want.pop("max_rho")) <= 1e-12
+        assert got == want
+
+    def test_generator_is_the_degree_filter(self):
+        # exactly the edge subsets whose degrees are >= 1 and do not
+        # increase with the vertex index, each once
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for m in range(len(pairs) + 1):
+                want = set()
+                for subset in itertools.combinations(range(len(pairs)), m):
+                    deg = [0] * n
+                    for p in subset:
+                        for v in pairs[p]:
+                            deg[v] += 1
+                    if deg[-1] >= 1 and all(x >= y for x, y in zip(deg, deg[1:])):
+                        want.add(subset)
+                got = list(orc.degree_ordered_graphs(n, m))
+                assert len(got) == len(set(got)), (n, m)
+                assert set(got) == want, (n, m)
+
+    def test_labelings(self):
+        # n! / |Aut|: K_5, the star K_{1,4}, the path P_5, the cycle C_5
+        def graph(edges):
+            a = np.zeros((5, 5), dtype=np.int8)
+            for u, v in edges:
+                a[u, v] = a[v, u] = 1
+            return gr.DenseGraph(5, a)
+        path = [(i, i + 1) for i in range(4)]
+        assert orc._labelings(graph(itertools.combinations(range(5), 2))) == 1
+        assert orc._labelings(graph((0, v) for v in range(1, 5))) == 5
+        assert orc._labelings(graph(path)) == 60
+        assert orc._labelings(graph(path + [(4, 0)])) == 12
 
 
 def _from_graph6(s: str) -> gr.DenseGraph:

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
-from math import comb
+from math import ceil, comb
 from typing import Iterator, NamedTuple, Optional
 
 from . import exactpoly as xp
@@ -24,7 +24,7 @@ from .errors import (
     StructureViolation,
     VerificationFailed,
 )
-from .exactpoly import ONE, X, AlgebraicReal, IntPoly, RationalInterval
+from .exactpoly import AlgebraicReal, IntPoly, RationalInterval
 from .graphs import StepSequence, d_step_sequence, edge_params
 # not used here: the benchmark's per-layer trace wraps these two names
 from .graphs import cone, tsub_adjacency
@@ -89,21 +89,31 @@ def charpoly_via_modules(sequence: list[bool]) -> FactoredPoly:
 
     A run of s isolated (dominating) vertices adds s-1 eigenvalues 0 (-1);
     the rest is folded in run by run as a pair (P, Q) with
-    Q/P = 1^T (xI - A)^-1 1, starting from (1, 0).
+    Q/P = 1^T (xI - A)^-1 1, starting from (1, 0).  The fold runs on
+    ascending coefficient lists, where len(P) = len(Q) + 1 throughout.
     """
-    p, q = ONE, IntPoly()
+    p, q = [1], []
     zeros = minus_ones = 0
     for dominating, run in groupby(sequence):
         s = len(list(run))
         if dominating:
-            p, q = (X - (s - 1)) * p - s * q, (X + (s + 1)) * q + s * p
+            p, q = _x_plus(1 - s, p, -s, q), _x_plus(s + 1, q, s, p)
             minus_ones += s - 1
         else:
-            p, q = X * p, X * q + s * p
+            p, q = [0] + p, _x_plus(0, q, s, p)
             zeros += s - 1
-    if zeros + minus_ones + p.degree != len(sequence):
+    r = IntPoly(p)
+    if zeros + minus_ones + r.degree != len(sequence):
         raise StructureViolation(f"factored charpoly has degree != {len(sequence)}")
-    return FactoredPoly(zeros, minus_ones, p)
+    return FactoredPoly(zeros, minus_ones, r)
+
+
+def _x_plus(c: int, f: list[int], d: int, g: list[int]) -> list[int]:
+    """(x + c) f + d g on ascending coefficient lists, len(g) <= len(f) + 1."""
+    out = [c * lo + hi for lo, hi in zip(f + [0], [0] + f)]
+    for i, gi in enumerate(g):
+        out[i] += d * gi
+    return out
 
 
 @functools.lru_cache(maxsize=100_000)
@@ -194,6 +204,37 @@ def family_bounds(e: int) -> tuple[AlgebraicReal, AlgebraicReal]:
                  for s in (d_step_sequence(e), StepSequence((e,))))
 
 
+@functools.lru_cache(maxsize=256)
+def step7_constant(e: int) -> tuple[Fraction, Fraction]:
+    """(c_e, n_u_lo): the rational the SmallRoot gap test of step 7 signs
+    the comparison polynomial at, and the lower end of n_U it certifies.
+
+    c_e lies at most 2^-64 above sigma_e = rho(D(e+1, e)), and the
+    near-clique link is strictly increasing from c_e on, so a root rho_U
+    above c_e has n_U = b + r_D(rho_U) > b + r_D(c_e) >= n_u_lo > e + 1.
+    n_u_lo is e + 1 + 2^-j with the least such j.
+    """
+    rho_t1d, _ = family_bounds(e)
+    num_d, den_d = r_D_closed_form(e)
+    c_e = rho_of_threshold(d_step_sequence(e), e + 1).refined(Fraction(1, 2**64)).hi
+    if xp.compare_with_rational(rho_t1d, c_e) > 0:
+        raise StructureViolation(f"step-7 constant below the family bound at e = {e}")
+    # num/den increases where its derivative's numerator W is positive,
+    # and W and den keep their signs above their largest roots
+    w = num_d.derivative() * den_d - num_d * den_d.derivative()
+    at_c = AlgebraicReal.from_rational(c_e)
+    if (w.leading < 0 or next(xp.roots_at_or_above(w, at_c), None)
+            or next(xp.roots_at_or_above(den_d, at_c), None)):
+        raise StructureViolation(f"near-clique link not increasing above c_e at e = {e}")
+    slack = edge_params(e).b + Fraction(num_d(c_e)) / den_d(c_e) - (e + 1)
+    if slack <= 0:
+        raise StructureViolation(f"step-7 constant gives n_U <= e + 1 at e = {e}")
+    j = 0
+    while Fraction(1, 2**j) > slack:
+        j += 1
+    return c_e, e + 1 + Fraction(1, 2**j)
+
+
 # -- certificates --------------------------------------------------------
 
 
@@ -276,6 +317,19 @@ def certify_candidate(e: int, steps: StepSequence) -> Certificate:
     # step (7): no integer order escapes both certified regions ----------
     num_d, den_d = r_D_closed_form(e)
     num_v, den_v = r_V_closed_form(e)
+    if n_l_root is None:
+        # the star family wins for every order where it exists
+        n_l = RationalInterval(Fraction(e + 1), Fraction(e + 1))
+        c_e, n_u_lo = step7_constant(e)
+        # q_D is negative-leading and n_u_root is its only root >= rho_t1d,
+        # so q_D(c_e) > 0 puts that root above c_e >= rho_t1d; the link
+        # increases, so n_U lies between b + r_D(c_e) and b + r_D(B)
+        if xp.sign_at(qd, c_e) > 0:
+            bound = xp.cauchy_bound(qd)
+            n_u = RationalInterval(
+                n_u_lo, ceil(p.b + Fraction(num_d(bound)) / den_d(bound)))
+            if _no_integer_between(n_u.lo, n_l.hi):
+                return Certificate(e, steps, d_branch, v_branch, n_u, n_l, COVER_SPLIT)
     # each round asks for enclosures 16 times narrower, until the gap is
     # certified, both are exact, or eval_ratfun spends its bisection budget
     eps = Fraction(1, 16)
@@ -283,10 +337,7 @@ def certify_candidate(e: int, steps: StepSequence) -> Certificate:
         while True:
             ivu = xp.eval_ratfun(num_d, den_d, n_u_root, eps)
             n_u = RationalInterval(p.b + ivu.lo, p.b + ivu.hi)
-            if n_l_root is None:
-                # the star family wins for every order where it exists
-                n_l = RationalInterval(Fraction(e + 1), Fraction(e + 1))
-            else:
+            if n_l_root is not None:
                 ivl = xp.eval_ratfun(num_v, den_v, n_l_root, eps)
                 n_l = RationalInterval(e + 2 + ivl.lo, e + 2 + ivl.hi)
             if _no_integer_between(n_u.lo, n_l.hi):

@@ -16,6 +16,7 @@ from rhomax.errors import (
     Degenerate,
     InvalidRegime,
     OrderTooSmall,
+    StructureViolation,
     VerificationFailed,
 )
 from rhomax.exactpoly import IntPoly, RationalInterval, X
@@ -339,6 +340,99 @@ class TestStep7:
             ct.certify_candidate(7, StepSequence((6, 1)))
         assert exc.value.step == 7
         assert len(calls) == 1
+
+
+SIGN_TEST_SURPLUSES = [e for e in [*range(5, 31), 40] if gr.edge_params(e).t >= 1]
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Every certificate of the surpluses above, by e."""
+    return {e: list(ct.certify_all(e)) for e in SIGN_TEST_SURPLUSES}
+
+
+def _force_the_loop(monkeypatch, c_e=None):
+    """Make step 7's sign test unable to settle any gap: its n_U.lo is
+    e + 1, or its sign is taken at c_e instead of the per-e constant."""
+    constant = ct.step7_constant
+    monkeypatch.setattr(ct, "step7_constant", lambda e: (
+        (constant(e)[0], Fraction(e + 1)) if c_e is None
+        else (c_e, constant(e)[1])))
+
+
+class TestStep7SignTest:
+    @pytest.mark.parametrize("e", SIGN_TEST_SURPLUSES)
+    def test_matches_the_loop(self, e, certified, monkeypatch):
+        _force_the_loop(monkeypatch)
+        loop = list(ct.certify_all(e))
+        assert len(loop) == len(certified[e])
+        for fast, slow in zip(certified[e], loop):
+            assert (fast.steps, fast.d_branch, fast.v_branch, fast.coverage,
+                    fast.n_L) == (slow.steps, slow.d_branch, slow.v_branch,
+                                  slow.coverage, slow.n_L)
+            if slow.n_U is None:
+                assert fast.n_U is None
+            else:
+                assert fast.n_U.lo <= slow.n_U.lo <= slow.n_U.hi <= fast.n_U.hi
+
+    def test_no_fallback(self, certified):
+        # a SmallRoot Split took the sign test exactly when its n_U.lo is
+        # the per-e constant
+        splits = fallbacks = 0
+        for e, certs in certified.items():
+            n_u_lo = ct.step7_constant(e)[1]
+            for cert in certs:
+                if cert.v_branch == ct.V_SMALL_ROOT and cert.coverage == ct.COVER_SPLIT:
+                    splits += 1
+                    fallbacks += cert.n_U.lo != n_u_lo
+        assert splits == 1814
+        assert fallbacks == 0
+
+    def test_constant_every_e(self):
+        for e in range(5, 131):
+            p = gr.edge_params(e)
+            if p.t == 0:
+                continue
+            c_e, n_u_lo = ct.step7_constant(e)
+            num, den = ct.r_D_closed_form(e)
+            sigma = ct.rho_of_threshold(gr.d_step_sequence(e), e + 1)
+            assert xp.compare_with_rational(ct.family_bounds(e)[0], c_e) <= 0
+            assert xp.compare_with_rational(sigma, c_e) < 0
+            assert xp.compare_with_rational(sigma, c_e - Fraction(1, 2**64)) >= 0
+            assert e + 1 < n_u_lo <= p.b + Fraction(num(c_e)) / den(c_e)
+            # the least j with e + 1 + 2^-j in range
+            j = (n_u_lo.denominator).bit_length() - 1
+            assert n_u_lo == e + 1 + Fraction(1, 2**j)
+            assert e + 1 + Fraction(1, 2**(j - 1)) > p.b + Fraction(num(c_e)) / den(c_e)
+
+    def test_nonpositive_sign_falls_back(self, monkeypatch):
+        # far above every root q_D is negative: the loop decides instead
+        e, steps = 7, StepSequence((6, 1))
+        n_u_lo = ct.step7_constant(e)[1]
+        assert ct.certify_candidate(e, steps).n_U.lo == n_u_lo
+        _force_the_loop(monkeypatch, c_e=Fraction(10**6))
+        cert = ct.certify_candidate(e, steps)
+        assert cert.coverage == ct.COVER_SPLIT and cert.v_branch == ct.V_SMALL_ROOT
+        assert cert.n_U.lo != n_u_lo and cert.n_U.width <= Fraction(1, 16)
+
+    @pytest.mark.parametrize("patch,message", [
+        ("sigma_is_one", "below the family bound"),
+        ("sigma_is_rho_t1d", "n_U <= e \\+ 1"),
+        ("link_decreasing", "not increasing"),
+    ])
+    def test_constant_checks_raise(self, patch, message, monkeypatch):
+        e = 40
+        rho_t1d = ct.family_bounds(e)[0]
+        ct.step7_constant.cache_clear()
+        if patch == "link_decreasing":
+            monkeypatch.setattr(ct, "r_D_closed_form",
+                                lambda e: (-X, IntPoly([1])))
+        else:
+            sigma = (xp.AlgebraicReal.from_rational(1) if patch == "sigma_is_one"
+                     else rho_t1d)
+            monkeypatch.setattr(ct, "rho_of_threshold", lambda steps, n: sigma)
+        with pytest.raises(StructureViolation, match=message):
+            ct.step7_constant(e)
 
 
 class TestCertifyAll:

@@ -7,6 +7,7 @@ dropped attribute fail this suite instead of the next traced run.
 """
 
 import importlib.util
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -24,9 +25,9 @@ def _load(name):
     return module
 
 
-def test_kernel_trace_counts_one_step7_round_per_split_candidate():
+def _traced_e40():
+    """Step-7 rounds and metrics of 30 traced e = 40 candidates, all Split."""
     spans, layers = _load("spans"), _load("layers")
-    # every Split certificate at e = 40 takes exactly one refinement round
     candidates = list(islice(te.enumerate_S_star(40), 30))
     original = ct.certify_candidate
     tracer = spans.Tracer("trace-contract")
@@ -38,7 +39,24 @@ def test_kernel_trace_counts_one_step7_round_per_split_candidate():
         tracer.restore()
     assert ct.certify_candidate is original
     assert all(c.coverage == ct.COVER_SPLIT for c in certs)
-    assert instruments.rounds == len(candidates)
     metrics = instruments.metrics(tracer.totals(), {"info": {}, "wall_s": 0.0})
     assert metrics["certify.certify_candidate.calls"] == len(candidates)
+    return instruments.rounds, metrics
+
+
+def test_kernel_trace_counts_no_step7_round_on_the_sign_test():
+    # every Split certificate at e = 40 is settled by step 7's sign test
+    rounds, metrics = _traced_e40()
+    assert rounds == 0
+    assert metrics["certify.step7_rounds_per_cand"] == 0.0
+
+
+def test_kernel_trace_counts_one_step7_round_per_fallback(monkeypatch):
+    # with the sign test unable to settle the gap, each of these Split
+    # certificates takes exactly one refinement round
+    constant = ct.step7_constant
+    monkeypatch.setattr(ct, "step7_constant",
+                        lambda e: (constant(e)[0], Fraction(e + 1)))
+    rounds, metrics = _traced_e40()
+    assert rounds == 30
     assert metrics["certify.step7_rounds_per_cand"] == 1.0

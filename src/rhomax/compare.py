@@ -9,6 +9,7 @@ the closed-form regimes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,9 @@ MONOTONE_ABOVE_K = "MonotoneAboveK"
 
 PROVEN_E_MAX = 130
 
+# width of the per-e enclosure of omega that classify decides against
+_OMEGA_WIDTH = Fraction(1, 16)
+
 
 def psi_poly(e: int) -> IntPoly:
     """The comparison cubic, by direct substitution of (k, t)."""
@@ -51,6 +55,7 @@ def psi_poly(e: int) -> IntPoly:
     return IntPoly([c0, c1, c2, c3])
 
 
+@functools.lru_cache(maxsize=256)
 def psi_value(e: int) -> AlgebraicReal:
     """Largest real root of the comparison cubic.
 
@@ -90,6 +95,7 @@ class OmegaValue:
         return RationalInterval(self.e + 2 + iv.lo, self.e + 2 + iv.hi)
 
 
+@functools.lru_cache(maxsize=256)
 def omega_value(e: int) -> OmegaValue:
     psi = psi_value(e)
     r = psi.as_rational()
@@ -100,15 +106,31 @@ def omega_value(e: int) -> OmegaValue:
     return OmegaValue(e, psi, exact)
 
 
+@functools.lru_cache(maxsize=256)
+def _omega_enclosure(e: int) -> RationalInterval:
+    return omega_value(e).enclose(_OMEGA_WIDTH)
+
+
 @dataclass(frozen=True)
 class Classification:
     verdict: str
 
 
+def _sign_verdict(n: int, e: int) -> str:
+    """The verdict at order n from the exact sign of the order-n
+    star-family polynomial at psi: it equals the sign of omega - n,
+    because psi exceeds sqrt(e)."""
+    num, den = r_V_closed_form(e)
+    s = xp.sign_at_root(num - (n - e - 2) * den, psi_value(e))
+    return (V_UNIQUE, TIE, D_UNIQUE)[s + 1]
+
+
 def classify(n: int, e: int, unsafe_extrapolate: bool = False) -> Classification:
     """Which family wins at order n: strictly below the crossover the
     near-clique family, strictly above it the star-like family, a tie at
-    exact equality."""
+    exact equality.  An order outside a cached enclosure of omega is
+    decided by rational comparison; only one inside it takes the exact
+    sign test."""
     if e < 4:
         raise ValueError("e must be >= 4")
     if e > PROVEN_E_MAX and not unsafe_extrapolate:
@@ -116,17 +138,12 @@ def classify(n: int, e: int, unsafe_extrapolate: bool = False) -> Classification
     p = edge_params(e)
     if n < p.b:
         raise OrderTooSmall(f"order {n} < minimum {p.b}")
-    psi = psi_value(e)
-    # sign of the order-n star-family polynomial at psi equals the sign of
-    # omega - n, because psi exceeds sqrt(e)
-    num, den = r_V_closed_form(e)
-    h = num - (n - e - 2) * den
-    s = xp.sign_at_root(h, psi)
-    if s > 0:
+    omega = _omega_enclosure(e)
+    if n < omega.lo:
         return Classification(D_UNIQUE)
-    if s == 0:
-        return Classification(TIE)
-    return Classification(V_UNIQUE)
+    if n > omega.hi:
+        return Classification(V_UNIQUE)
+    return Classification(_sign_verdict(n, e))
 
 
 def bell_f(lam: Fraction | int) -> Fraction:

@@ -350,9 +350,6 @@ class AlgebraicReal:
     def interval(self) -> RationalInterval:
         return RationalInterval(self.lo, self.hi)
 
-    def __float__(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     def bisected(self) -> "AlgebraicReal":
         """One bisection step; returns a new number with half the width."""
         if self.is_exact:

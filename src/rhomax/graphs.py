@@ -108,9 +108,6 @@ class DenseGraph:
             raise ValueError("adjacency must be symmetric with zero diagonal")
         object.__setattr__(self, "a", a)
 
-    def as_lists(self) -> list[list[int]]:
-        return self.a.astype(int).tolist()
-
     @property
     def size(self) -> int:
         return int(self.a.sum()) // 2
@@ -183,19 +180,6 @@ def adjacency(g: ThresholdGraph) -> DenseGraph:
         m = t.shape[0]
         a[1:1 + m, 1:1 + m] = t
     return DenseGraph(n, a)
-
-
-def is_stepwise(a: np.ndarray) -> bool:
-    """Entrywise check of the staircase property."""
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j]:
-                if j > i + 1 and not a[i, j - 1]:
-                    return False
-                if i > 0 and not a[i - 1, j]:
-                    return False
-    return True
 
 
 # -- graph6 --------------------------------------------------------------

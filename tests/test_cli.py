@@ -364,3 +364,20 @@ class TestSelfcheck:
         code, out, _ = run(["selfcheck"], capsys)
         assert code == 2
         assert "[FAIL] kernel" in out and "all suites passed" not in out
+
+    def test_broken_kernel_leaves_no_stale_crossover(self):
+        # the broken kernel fills compare's per-e caches with a wrong
+        # omega_6; run first in a fresh session, the tests after it must
+        # not see that value
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(rhomax.__file__)))
+        res = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             os.path.join(here, "test_cli.py")
+             + "::TestSelfcheck::test_broken_kernel_fails",
+             os.path.join(here, "test_compare.py") + "::TestBellF"],
+            cwd=os.path.dirname(here), env=env, capture_output=True,
+            text=True, timeout=300)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "4 passed" in res.stdout

@@ -1,6 +1,7 @@
 """Crossover machinery: the comparison cubic, its largest root, the
 crossover order, the closed-form regime, and the large-surplus bounds."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,8 +103,9 @@ class TestClassify:
     def test_consistency_with_numerics(self):
         for e in range(4, 13):
             p = gr.edge_params(e)
-            for n in range(p.b, e + 13):
+            for n in range(p.b, e + 14):
                 verdict = cp.classify(n, e).verdict
+                assert verdict == cp._sign_verdict(n, e)
                 rho_d = orc.spectral_radius(gr.adjacency(gr.build_D(n, e))).rho
                 if n < e + 2:
                     assert verdict == cp.D_UNIQUE
@@ -115,6 +117,34 @@ class TestClassify:
                     assert rho_v > rho_d + 1e-9
                 else:
                     assert abs(rho_d - rho_v) < 1e-9
+
+
+class TestClassifyRoutes:
+    """classify decides against a cached enclosure of omega and falls back
+    to the exact sign test at psi only inside it; both routes agree."""
+
+    def test_routes_agree_around_omega(self):
+        for e in range(4, cp.PROVEN_E_MAX + 1):
+            iv = cp._omega_enclosure(e)
+            assert iv.width < 1
+            for n in range(math.floor(iv.lo) - 3, math.ceil(iv.hi) + 4):
+                assert cp.classify(n, e).verdict == cp._sign_verdict(n, e), \
+                    f"(n, e) = ({n}, {e})"
+
+    def test_tie_is_reached_through_the_sign_test(self, monkeypatch):
+        calls = []
+        sign_verdict = cp._sign_verdict
+
+        def spy(n, e):
+            calls.append((n, e))
+            return sign_verdict(n, e)
+
+        monkeypatch.setattr(cp, "_sign_verdict", spy)
+        assert cp.classify(59, 10).verdict == cp.D_UNIQUE
+        assert cp.classify(61, 10).verdict == cp.V_UNIQUE
+        assert calls == []
+        assert cp.classify(60, 10).verdict == cp.TIE
+        assert calls == [(60, 10)]
 
 
 class TestBellF:

@@ -17,6 +17,10 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=0, max_size=6).map(IntPoly)
 
 
+def as_lists(g: gr.DenseGraph) -> list[list[int]]:
+    return g.a.astype(int).tolist()
+
+
 def from_roots(roots) -> IntPoly:
     """The monic integer polynomial with the given integer roots."""
     p = IntPoly([1])
@@ -53,17 +57,17 @@ class TestIntPoly:
 class TestCharpoly:
     def test_triangle(self):
         a = gr.adjacency(gr.ThresholdGraph(3, gr.StepSequence((1,))))
-        assert xp.charpoly(a.as_lists()) == IntPoly([-2, -3, 0, 1])
+        assert xp.charpoly(as_lists(a)) == IntPoly([-2, -3, 0, 1])
 
     def test_star_k14(self):
         a = gr.adjacency(gr.build_V(5, 0))
-        assert xp.charpoly(a.as_lists()) == IntPoly([0, 0, 0, -4, 0, 1])
+        assert xp.charpoly(as_lists(a)) == IntPoly([0, 0, 0, -4, 0, 1])
 
     def test_k2_join_4k1(self):
         # matches the closed-form factorization x^3 (x+1)(x^2 - x - 8)
         a = gr.adjacency(gr.build_V(6, 4))
         expect = IntPoly([0, 0, 0, 1]) * IntPoly([1, 1]) * IntPoly([-8, -1, 1])
-        assert xp.charpoly(a.as_lists()) == expect
+        assert xp.charpoly(as_lists(a)) == expect
 
     def test_monic_and_coeffsum(self):
         rng = np.random.default_rng(7)
@@ -85,7 +89,7 @@ class TestCharpoly:
             steps = seqs[int(rng.integers(0, len(seqs)))]
             n = steps[0] + 2 + int(rng.integers(0, 3))
             a = gr.adjacency(gr.ThresholdGraph(n, steps))
-            p = xp.charpoly(a.as_lists())
+            p = xp.charpoly(as_lists(a))
             for lam in np.linalg.eigvalsh(a.a.astype(float)):
                 scale = max(1.0, abs(lam)) ** p.degree
                 assert abs(float(p(Fraction(lam).limit_denominator(10**12)))) / scale < 1e-6
@@ -139,7 +143,7 @@ class TestRootIsolation:
         r = xp.kth_largest_root(IntPoly([-2, 0, 1]), 1)
         r = r.refined(Fraction(1, 10**12))
         assert r.interval.width <= Fraction(1, 10**12)
-        assert abs(float(r) - 2**0.5) < 1e-11
+        assert abs(float(r.interval.mid) - 2**0.5) < 1e-11
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2,
                     max_size=5, unique=True))

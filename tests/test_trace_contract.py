@@ -3,7 +3,8 @@
 perfbench (outside the package) swaps module attributes for timing
 wrappers and counts step-7 rounds by the identity of the near-clique link
 numerator.  Building its kernel-side instruments here makes a renamed or
-dropped attribute fail this suite instead of the next traced run.
+dropped attribute, or a per-e cache that stopped caching, fail this suite
+instead of the next traced run.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ from itertools import islice
 from pathlib import Path
 
 from rhomax import certify as ct
+from rhomax import compare as cp
+from rhomax import graphs as gr
 from rhomax import tsubenum as te
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,3 +63,29 @@ def test_kernel_trace_counts_one_step7_round_per_fallback(monkeypatch):
     rounds, metrics = _traced_e40()
     assert rounds == 30
     assert metrics["certify.step7_rounds_per_cand"] == 1.0
+
+
+def test_compare_trace_counts_one_psi_per_surplus_and_fallback():
+    spans, layers = _load("spans"), _load("layers")
+    for fn in (cp.psi_value, cp.omega_value, cp._omega_enclosure):
+        fn.cache_clear()
+    # every order from the least one to past the largest crossover, 80
+    grid = [(n, e) for e in range(4, 11)
+            for n in range(gr.edge_params(e).b, 90)]
+    original = cp.classify
+    tracer = spans.Tracer("trace-contract")
+    try:
+        instruments = layers.Instruments(tracer, "kernel")
+        assert cp.classify is not original
+        verdicts = [cp.classify(n, e).verdict for n, e in grid]
+    finally:
+        tracer.restore()
+    assert cp.classify is original
+    assert verdicts[grid.index((60, 10))] == cp.TIE  # a fallback
+    surpluses = len({e for _, e in grid})
+    fallbacks = sum(1 for n, e in grid
+                    if cp._omega_enclosure(e).lo <= n <= cp._omega_enclosure(e).hi)
+    metrics = instruments.metrics(tracer.totals(), {"info": {}, "wall_s": 0.0})
+    assert metrics["compare.classify.calls"] == len(grid)
+    assert metrics["compare.omega_value.calls"] <= surpluses
+    assert metrics["compare.psi_value.calls"] <= surpluses + fallbacks
